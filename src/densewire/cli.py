@@ -80,14 +80,14 @@ class _Run:
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()
         self.artifacts: list[str] = []
 
-    def report_doc(self, analysis: dict, warnings: list[str] | None = None) -> dict:
+    def report_doc(self, analysis: dict) -> dict:
         return {
             "tool": "densewire",
             "version": __version__,
             "config_sha256": self.config_sha256,
             "seed": self.seed,
             "analysis": analysis,
-            "warnings": warnings or [],
+            "warnings": [],
         }
 
     def write(self, name: str, text: str) -> Path:
@@ -99,7 +99,6 @@ class _Run:
 
 def _scale_records(config: DesignConfig, logical_overhead: int):
     records = {}
-    warnings = []
     for arch in config.wiring:
         if arch.access == LATERAL:
             rep = lateral_scaling_report(config.qubit_array, arch)
@@ -114,11 +113,11 @@ def _scale_records(config: DesignConfig, logical_overhead: int):
         rec["logical_qubits"] = logical_qubit_estimate(rep.n_qubits, logical_overhead)
         rec["logical_overhead"] = logical_overhead
         records[arch.access] = rec
-    return records, warnings
+    return records
 
 
 def _cmd_scale(run: _Run, args) -> int:
-    records, warnings = _scale_records(run.config, args.logical_overhead)
+    records = _scale_records(run.config, args.logical_overhead)
     for access, rec in sorted(records.items()):
         line = (f"{access:<9} N_q={rec['n_qubits']} N_w={rec['n_wires']} "
                 f"limiting={rec['limiting_factor']} "
@@ -126,7 +125,7 @@ def _cmd_scale(run: _Run, args) -> int:
         if rec.get("crossover_length_m") is not None:
             line += f" crossover={rec['crossover_length_m'] * 1e3:.6g}mm"
         print(line)
-    run.write("scale.json", _json_text(run.report_doc(records, warnings)))
+    run.write("scale.json", _json_text(run.report_doc(records)))
     return 0
 
 
@@ -297,9 +296,13 @@ def sweep_csv(run: _Run, decl) -> str:
 def _cmd_sweep(run: _Run, args) -> int:
     if not run.config.sweeps:
         raise ConfigInvalid("sweeps", "no sweep declarations in the config")
-    for decl in run.config.sweeps:
+    for i, decl in enumerate(run.config.sweeps):
+        try:
+            text = sweep_csv(run, decl)
+        except UnknownParameter as exc:
+            raise ConfigInvalid(f"sweeps[{i}].parameter", str(exc)) from None
         slug = decl.parameter.replace(".", "_")
-        path = run.write(f"sweep_{slug}.csv", sweep_csv(run, decl))
+        path = run.write(f"sweep_{slug}.csv", text)
         print(f"{decl.parameter}: {decl.steps} points -> {path}")
     return 0
 

@@ -1,8 +1,11 @@
 """Design-config parsing: one JSON document describing the whole design.
 
-Dimensional fields carry explicit unit suffixes ("500um", "10GHz"); bare
-numbers are read as base SI units.  Keys named "notes" or starting with
-an underscore are ignored everywhere, so configs can be annotated.
+Every field is read through one declarative schema (`_SCHEMA`) of field
+kinds from `units`.  Dimensional fields carry explicit unit suffixes
+("500um", "10GHz"); bare numbers are read as base SI units.  Keys named
+"notes" or starting with an underscore are ignored everywhere, so configs
+can be annotated.  Every type, unit, range or reference error raises
+ConfigInvalid naming the dotted field path.
 
 Derivations tie the sections together the way the hardware does:
   * the interposer coax inherits inner diameter from the finished pin and
@@ -22,32 +25,18 @@ from . import units
 from .errors import ConfigInvalid, UnknownParameter
 from .layout import Annotation, LayoutConfig
 from .materials import MaterialCatalog, default_catalog
+from .rfnet import MAX_BAND_HZ
 from .scaling import BondWireGeometry, QubitArraySpec, WiringArchitecture, wire_pitch_from_bonds
 from .tlines import CoaxSpec, CpwSpec, PinStack, pin_outer_diameter
 from .thermal import (
     ConductionPath,
-    ControllerTech,
     Stage,
     StageModel,
     ThermalArchitecture,
     controller_tech,
     default_stage_model,
 )
-
-_IGNORED_KEYS = ("notes",)
-
-
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    for k in d:
-        if k in allowed or k in _IGNORED_KEYS or k.startswith("_"):
-            continue
-        raise ConfigInvalid(f"{where}.{k}", f"unknown field; expected one of {sorted(allowed)}")
-
-
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigInvalid(f"{where}.{key}", "missing required field")
-    return d[key]
+from .units import build, flag, integer, listof, number, optional, pair, section, string
 
 
 @dataclass(frozen=True)
@@ -60,6 +49,16 @@ class RfSettings:
     taper_segments: int = 16
     bond_resistance: float = 0.0
     bond_inductance: float = 0.0
+
+    def __post_init__(self):
+        f_lo, f_hi = self.band
+        if not 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9):
+            raise ValueError(f"band must satisfy 0 <= f_lo < f_hi <= {MAX_BAND_HZ:.0e} Hz")
+        if self.system_impedance <= 0:
+            raise ValueError("system_impedance must be > 0")
+        if min(self.feed_length, self.taper_length, self.bond_resistance,
+               self.bond_inductance) < 0:
+            raise ValueError("lengths, bond_resistance and bond_inductance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class DesignConfig:
     cpw: CpwSpec | None
     rf: RfSettings
     stages: StageModel
-    controller: ControllerTech
     thermal: ThermalArchitecture
     sweeps: tuple[SweepDecl, ...]
     annotations: tuple[Annotation, ...]
@@ -101,231 +99,6 @@ class DesignConfig:
         return None
 
 
-def _parse_qubit_array(d: dict) -> QubitArraySpec:
-    _check_keys(d, {"qubit_pitch", "chip_side"}, "qubit_array")
-    try:
-        return QubitArraySpec(
-            qubit_pitch=units.parse_length(_require(d, "qubit_pitch", "qubit_array"),
-                                           "qubit_array.qubit_pitch"),
-            chip_side=units.parse_length(_require(d, "chip_side", "qubit_array"),
-                                         "qubit_array.chip_side"),
-        )
-    except ValueError as exc:
-        raise ConfigInvalid("qubit_array", str(exc)) from None
-
-
-def _parse_wiring(entries, where: str) -> tuple[WiringArchitecture, ...]:
-    if not isinstance(entries, list) or not entries:
-        raise ConfigInvalid(where, "expected a nonempty list of wiring architectures")
-    out = []
-    for i, d in enumerate(entries):
-        w = f"{where}[{i}]"
-        _check_keys(d, {"access", "wire_pitch", "bond_geometry", "wires_per_qubit"}, w)
-        access = _require(d, "access", w)
-        wires_per_qubit = float(d.get("wires_per_qubit", 1.0))
-        if "bond_geometry" in d:
-            g = d["bond_geometry"]
-            _check_keys(g, {"wire_diameter", "wire_gap", "wires_per_line", "grounds_shared"},
-                        f"{w}.bond_geometry")
-            try:
-                geom = BondWireGeometry(
-                    wire_diameter=units.parse_length(
-                        _require(g, "wire_diameter", f"{w}.bond_geometry"),
-                        f"{w}.bond_geometry.wire_diameter"),
-                    wire_gap=units.parse_length(
-                        _require(g, "wire_gap", f"{w}.bond_geometry"),
-                        f"{w}.bond_geometry.wire_gap"),
-                    wires_per_line=int(g.get("wires_per_line", 3)),
-                    grounds_shared=bool(g.get("grounds_shared", True)),
-                )
-            except ValueError as exc:
-                raise ConfigInvalid(f"{w}.bond_geometry", str(exc)) from None
-            pitch = wire_pitch_from_bonds(geom)
-            provenance = "derived_from_bond_geometry"
-        elif "wire_pitch" in d:
-            pitch = units.parse_length(d["wire_pitch"], f"{w}.wire_pitch")
-            provenance = "explicit"
-        else:
-            raise ConfigInvalid(w, "needs either wire_pitch or bond_geometry")
-        try:
-            out.append(WiringArchitecture(access=access, wire_pitch=pitch,
-                                          provenance=provenance,
-                                          wires_per_qubit=wires_per_qubit))
-        except ValueError as exc:
-            raise ConfigInvalid(w, str(exc)) from None
-    return tuple(out)
-
-
-def _parse_pin_stack(d: dict, layout: LayoutConfig, clearance: float) -> PinStack:
-    _check_keys(d, {"core_diameter", "coatings"}, "pin_stack")
-    coatings = []
-    for i, entry in enumerate(d.get("coatings", [])):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigInvalid(f"pin_stack.coatings[{i}]", "expected [material, thickness]")
-        name, thickness = entry
-        coatings.append((str(name), units.parse_length(thickness, f"pin_stack.coatings[{i}]")))
-    core = _require(d, "core_diameter", "pin_stack")
-    if core == "auto":
-        core_m = layout.hole_diameter - clearance - 2.0 * sum(t for _, t in coatings)
-        if core_m <= 0:
-            raise ConfigInvalid(
-                "pin_stack.core_diameter",
-                "auto-derived core is not positive; check hole diameter and clearance")
-    else:
-        core_m = units.parse_length(core, "pin_stack.core_diameter")
-    try:
-        return PinStack(core_diameter=core_m, coatings=tuple(coatings))
-    except ValueError as exc:
-        raise ConfigInvalid("pin_stack", str(exc)) from None
-
-
-def _parse_layout(d: dict) -> LayoutConfig:
-    fields = {
-        "qubit_pitch": units.parse_length,
-        "pad_diameter": units.parse_length,
-        "hole_diameter": units.parse_length,
-        "channel_width": units.parse_length,
-        "channel_depth": units.parse_length,
-        "pin_length": units.parse_length,
-        "pad_thickness": units.parse_length,
-        "tip_tolerance": units.parse_length,
-        "ground_curb_width": units.parse_length,
-        "solder_ball_diameter": units.parse_length,
-    }
-    _check_keys(d, set(fields) | {"array_side_count"}, "layout")
-    kwargs = {"array_side_count": int(_require(d, "array_side_count", "layout"))}
-    for name, parse in fields.items():
-        if name == "solder_ball_diameter" and name not in d:
-            continue
-        kwargs[name] = parse(_require(d, name, "layout"), f"layout.{name}")
-    return LayoutConfig(**kwargs)
-
-
-def _parse_cpw(d: dict) -> CpwSpec:
-    _check_keys(d, {"trace_width", "gap", "substrate_eps_r", "covered", "cover_height",
-                    "ground_width"}, "cpw")
-    cover_height = d.get("cover_height")
-    ground_width = d.get("ground_width")
-    return CpwSpec(
-        trace_width=units.parse_length(_require(d, "trace_width", "cpw"), "cpw.trace_width"),
-        gap=units.parse_length(_require(d, "gap", "cpw"), "cpw.gap"),
-        substrate_eps_r=float(_require(d, "substrate_eps_r", "cpw")),
-        covered=bool(d.get("covered", False)),
-        cover_height=None if cover_height is None else units.parse_length(
-            cover_height, "cpw.cover_height"),
-        ground_width=None if ground_width is None else units.parse_length(
-            ground_width, "cpw.ground_width"),
-    )
-
-
-def _parse_rf(d: dict) -> RfSettings:
-    _check_keys(d, {"band", "points", "system_impedance", "feed_length", "taper_length",
-                    "taper_segments", "bond_resistance", "bond_inductance"}, "rf")
-    band = d.get("band", ["0Hz", "10GHz"])
-    if not (isinstance(band, list) and len(band) == 2):
-        raise ConfigInvalid("rf.band", "expected [f_lo, f_hi]")
-    return RfSettings(
-        band=(units.parse_frequency(band[0], "rf.band[0]"),
-              units.parse_frequency(band[1], "rf.band[1]")),
-        points=int(d.get("points", 1001)),
-        system_impedance=units.parse_resistance(d.get("system_impedance", 50.0),
-                                                "rf.system_impedance"),
-        feed_length=units.parse_length(d.get("feed_length", 0.0), "rf.feed_length"),
-        taper_length=units.parse_length(d.get("taper_length", 0.0), "rf.taper_length"),
-        taper_segments=int(d.get("taper_segments", 16)),
-        bond_resistance=units.parse_resistance(d.get("bond_resistance", 0.0),
-                                               "rf.bond_resistance"),
-        bond_inductance=units.parse_inductance(d.get("bond_inductance", 0.0),
-                                               "rf.bond_inductance"),
-    )
-
-
-def _parse_stages(entries, where: str) -> StageModel:
-    if entries is None:
-        return default_stage_model()
-    stages = []
-    for i, d in enumerate(entries):
-        w = f"{where}[{i}]"
-        _check_keys(d, {"name", "temperature", "cooling_power"}, w)
-        try:
-            stages.append(Stage(
-                name=str(_require(d, "name", w)),
-                temperature=units.parse_temperature(_require(d, "temperature", w),
-                                                    f"{w}.temperature"),
-                cooling_power=units.parse_power(_require(d, "cooling_power", w),
-                                                f"{w}.cooling_power"),
-            ))
-        except ValueError as exc:
-            raise ConfigInvalid(w, str(exc)) from None
-    try:
-        return StageModel(stages=tuple(stages))
-    except ValueError as exc:
-        raise ConfigInvalid(where, str(exc)) from None
-
-
-def _parse_thermal(d: dict, stages: StageModel) -> ThermalArchitecture:
-    _check_keys(d, {"controllers", "paths"}, "thermal")
-    controllers = []
-    for i, c in enumerate(d.get("controllers", [])):
-        w = f"thermal.controllers[{i}]"
-        _check_keys(c, {"stage", "count", "tech", "power_per_qubit"}, w)
-        stage_name = str(_require(c, "stage", w))
-        _stage_exists(stages, stage_name, f"{w}.stage")
-        power = c.get("power_per_qubit")
-        tech = controller_tech(
-            str(_require(c, "tech", w)),
-            None if power is None else units.parse_power(power, f"{w}.power_per_qubit"),
-        )
-        controllers.append((stage_name, int(_require(c, "count", w)), tech))
-    paths = []
-    for i, p in enumerate(d.get("paths", [])):
-        w = f"thermal.paths[{i}]"
-        _check_keys(p, {"stage", "material", "cross_section_area", "length", "t_hot",
-                        "t_cold", "count", "scale", "residual_resistivity"}, w)
-        stage_name = str(_require(p, "stage", w))
-        _stage_exists(stages, stage_name, f"{w}.stage")
-        try:
-            paths.append((stage_name, ConductionPath(
-                material=str(_require(p, "material", w)),
-                cross_section_area=units.parse_area(
-                    _require(p, "cross_section_area", w), f"{w}.cross_section_area"),
-                length=units.parse_length(_require(p, "length", w), f"{w}.length"),
-                t_hot=units.parse_temperature(_require(p, "t_hot", w), f"{w}.t_hot"),
-                t_cold=units.parse_temperature(_require(p, "t_cold", w), f"{w}.t_cold"),
-                count=int(p.get("count", 1)),
-                scale=float(p.get("scale", 1.0)),
-                residual_resistivity=(None if p.get("residual_resistivity") is None
-                                      else float(p["residual_resistivity"])),
-            )))
-        except ValueError as exc:
-            raise ConfigInvalid(w, str(exc)) from None
-    return ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))
-
-
-def _stage_exists(stages: StageModel, name: str, where: str) -> None:
-    try:
-        stages.stage(name)
-    except KeyError:
-        raise ConfigInvalid(where, f"references unknown stage {name!r}") from None
-
-
-def _parse_sweeps(entries, where: str) -> tuple[SweepDecl, ...]:
-    out = []
-    for i, d in enumerate(entries or []):
-        w = f"{where}[{i}]"
-        _check_keys(d, {"parameter", "start", "stop", "steps"}, w)
-        if not d:
-            raise ConfigInvalid(w, "empty sweep declaration")
-        param = str(_require(d, "parameter", w))
-        steps = int(_require(d, "steps", w))
-        if steps < 1:
-            raise ConfigInvalid(f"{w}.steps", "must be >= 1")
-        start = _parse_sweep_value(_require(d, "start", w), f"{w}.start")
-        stop = _parse_sweep_value(_require(d, "stop", w), f"{w}.stop")
-        out.append(SweepDecl(parameter=param, start=start, stop=stop, steps=steps))
-    return tuple(out)
-
-
 _ALL_UNITS: dict[str, float] = {}
 for table in (units.LENGTH_UNITS, units.AREA_UNITS, units.FREQUENCY_UNITS, units.POWER_UNITS,
               units.TEMPERATURE_UNITS, units.RESISTANCE_UNITS, units.INDUCTANCE_UNITS,
@@ -333,112 +106,162 @@ for table in (units.LENGTH_UNITS, units.AREA_UNITS, units.FREQUENCY_UNITS, units
     _ALL_UNITS.update(table)
 
 
-def _parse_sweep_value(value, field: str) -> float:
-    return units.parse_quantity(value, _ALL_UNITS, field)
+def _sweep_value(value, where: str) -> float:
+    return units.parse_quantity(value, _ALL_UNITS, where)
+
+
+def _core_diameter(value, where: str):
+    return value if value == "auto" else units.parse_length(value, where)
+
+
+length, area, power = units.parse_length, units.parse_area, units.parse_power
+temperature, resistance = units.parse_temperature, units.parse_resistance
+
+# The whole config schema.  Optional fields without a default here take the
+# value type's own default.
+_SCHEMA = section(
+    qubit_array=section(qubit_pitch=length, chip_side=length),
+    wiring=listof(section(
+        access=string,
+        wire_pitch=optional(length),
+        bond_geometry=optional(section(
+            wire_diameter=length, wire_gap=length,
+            wires_per_line=optional(integer(1)), grounds_shared=optional(flag))),
+        wires_per_qubit=optional(number)), unique="access"),
+    pin_stack=section(core_diameter=_core_diameter,
+                      coatings=optional(listof(pair(string, length)))),
+    interposer=optional(section(
+        dielectric=optional(string, "STYCAST-1266"),
+        eps_r=optional(number),
+        pin_hole_clearance=optional(length, "100um")), {}),
+    layout=section(
+        qubit_pitch=length, array_side_count=integer(1), pad_diameter=length,
+        hole_diameter=length, channel_width=length, channel_depth=length,
+        pin_length=length, pad_thickness=length, tip_tolerance=length,
+        ground_curb_width=length, solder_ball_diameter=optional(length)),
+    coax=optional(section(inner_diameter=length, outer_diameter=length,
+                          eps_r=optional(number))),
+    cpw=optional(section(
+        trace_width=length, gap=length, substrate_eps_r=number, covered=optional(flag),
+        cover_height=optional(length), ground_width=optional(length))),
+    rf=optional(section(
+        band=optional(pair(units.parse_frequency, units.parse_frequency)),
+        points=optional(integer(2)), system_impedance=optional(resistance),
+        feed_length=optional(length), taper_length=optional(length),
+        taper_segments=optional(integer(1)), bond_resistance=optional(resistance),
+        bond_inductance=optional(units.parse_inductance)), {}),
+    stages=optional(listof(section(name=string, temperature=temperature, cooling_power=power),
+                           unique="name")),
+    thermal=optional(section(
+        controllers=optional(listof(section(
+            stage=string, count=integer(1), tech=string, power_per_qubit=optional(power)))),
+        paths=optional(listof(section(
+            stage=string, material=string, cross_section_area=area, length=length,
+            t_hot=temperature, t_cold=temperature, count=optional(integer(1)),
+            scale=optional(number), residual_resistivity=optional(number))))), {}),
+    sweeps=optional(listof(section(
+        parameter=string, start=_sweep_value, stop=_sweep_value, steps=integer(1)))),
+    annotations=optional(listof(section(cable=string, kind=string, position=length))),
+)
+
+
+def _wiring(entries: tuple[dict, ...]) -> tuple[WiringArchitecture, ...]:
+    if not entries:
+        raise ConfigInvalid("wiring", "expected a nonempty list of wiring architectures")
+    out = []
+    for i, d in enumerate(entries):
+        where = f"wiring[{i}]"
+        if ("wire_pitch" in d) == ("bond_geometry" in d):
+            raise ConfigInvalid(where, "needs exactly one of wire_pitch or bond_geometry")
+        if "bond_geometry" in d:
+            geom = build(BondWireGeometry, f"{where}.bond_geometry", **d.pop("bond_geometry"))
+            d.update(wire_pitch=wire_pitch_from_bonds(geom), provenance="derived_from_bond_geometry")
+        out.append(build(WiringArchitecture, where, **d))
+    return tuple(out)
+
+
+def _pop_stage(entry: dict, stages: StageModel, where: str) -> str:
+    name = entry.pop("stage")
+    if not any(s.name == name for s in stages.stages):
+        raise ConfigInvalid(f"{where}.stage", f"references unknown stage {name!r}")
+    return name
+
+
+def _thermal(doc: dict, stages: StageModel, cat: MaterialCatalog) -> ThermalArchitecture:
+    controllers = []
+    for i, c in enumerate(doc.get("controllers", ())):
+        where = f"thermal.controllers[{i}]"
+        stage = _pop_stage(c, stages, where)
+        tech = build(controller_tech, where, name=c["tech"],
+                     power_per_qubit=c.get("power_per_qubit"))
+        controllers.append((stage, c["count"], tech))
+    paths = []
+    for i, p in enumerate(doc.get("paths", ())):
+        where = f"thermal.paths[{i}]"
+        stage = _pop_stage(p, stages, where)
+        if p["material"] not in cat:
+            raise ConfigInvalid(f"{where}.material", f"material {p['material']!r} not in catalog")
+        paths.append((stage, build(ConductionPath, where, **p)))
+    return ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))
 
 
 def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> DesignConfig:
     """Validate and resolve a raw config dict into a DesignConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("<root>", "config must be a JSON object")
     cat = catalog if catalog is not None else default_catalog()
-    allowed = {"qubit_array", "wiring", "pin_stack", "layout", "interposer", "coax", "cpw",
-               "rf", "stages", "controller", "thermal", "sweeps", "annotations"}
-    _check_keys(raw, allowed, "<root>")
+    doc = _SCHEMA(raw, "")
 
-    qubit_array = _parse_qubit_array(_require(raw, "qubit_array", "<root>"))
-    wiring = _parse_wiring(_require(raw, "wiring", "<root>"), "wiring")
-    layout = _parse_layout(_require(raw, "layout", "<root>"))
+    qubit_array = build(QubitArraySpec, "qubit_array", **doc["qubit_array"])
+    wiring = _wiring(doc["wiring"])
+    layout = build(LayoutConfig, "layout", **doc["layout"])
 
-    interposer = raw.get("interposer", {})
-    _check_keys(interposer, {"dielectric", "eps_r", "pin_hole_clearance"}, "interposer")
-    dielectric = str(interposer.get("dielectric", "STYCAST-1266"))
-    clearance = units.parse_length(interposer.get("pin_hole_clearance", "100um"),
-                                   "interposer.pin_hole_clearance")
-    if "eps_r" in interposer:
-        eps_r = float(interposer["eps_r"])
-    else:
+    interposer = doc["interposer"]
+    dielectric = interposer["dielectric"]
+    clearance = interposer["pin_hole_clearance"]
+    eps_r = interposer.get("eps_r")
+    if eps_r is None:
         if dielectric not in cat:
             raise ConfigInvalid("interposer.dielectric", f"unknown material {dielectric!r}")
-        material = cat.lookup(dielectric)
-        if material.relative_permittivity is None:
+        eps_r = cat.lookup(dielectric).relative_permittivity
+        if eps_r is None:
             raise ConfigInvalid("interposer.dielectric",
                                 f"{dielectric!r} has no relative permittivity")
-        eps_r = material.relative_permittivity
 
-    pin_stack = _parse_pin_stack(_require(raw, "pin_stack", "<root>"), layout, clearance)
-    for name, _ in pin_stack.coatings:
-        if name not in cat:
-            raise ConfigInvalid("pin_stack.coatings", f"material {name!r} not in catalog")
-
-    if "coax" in raw:
-        d = raw["coax"]
-        _check_keys(d, {"inner_diameter", "outer_diameter", "eps_r"}, "coax")
-        try:
-            coax = CoaxSpec(
-                inner_diameter=units.parse_length(_require(d, "inner_diameter", "coax"),
-                                                  "coax.inner_diameter"),
-                outer_diameter=units.parse_length(_require(d, "outer_diameter", "coax"),
-                                                  "coax.outer_diameter"),
-                eps_r=float(d.get("eps_r", eps_r)),
-                dielectric=None if "eps_r" in d else dielectric,
-            )
-        except Exception as exc:
-            raise ConfigInvalid("coax", str(exc)) from None
-    else:
-        try:
-            coax = CoaxSpec(
-                inner_diameter=pin_outer_diameter(pin_stack),
-                outer_diameter=layout.hole_diameter,
-                eps_r=eps_r,
-                dielectric=dielectric,
-            )
-        except Exception as exc:
+    pin = doc["pin_stack"]
+    if pin["core_diameter"] == "auto":
+        pin["core_diameter"] = (layout.hole_diameter - clearance
+                                - 2.0 * sum(t for _, t in pin.get("coatings", ())))
+        if pin["core_diameter"] <= 0:
             raise ConfigInvalid(
-                "coax", f"derived pin-in-hole coax is invalid: {exc}") from None
+                "pin_stack.core_diameter",
+                "auto-derived core is not positive; check hole diameter and clearance")
+    pin_stack = build(PinStack, "pin_stack", **pin)
+    for i, (name, _) in enumerate(pin_stack.coatings):
+        if name not in cat:
+            raise ConfigInvalid(f"pin_stack.coatings[{i}][0]", f"material {name!r} not in catalog")
 
-    cpw = _parse_cpw(raw["cpw"]) if "cpw" in raw else None
-    rf = _parse_rf(raw.get("rf", {}))
-    stages = _parse_stages(raw.get("stages"), "stages")
+    # Without a coax section the interposer coax is the pin in its hole.
+    coax = doc.get("coax") or {"inner_diameter": pin_outer_diameter(pin_stack),
+                               "outer_diameter": layout.hole_diameter}
+    if "eps_r" not in coax:
+        coax.update(eps_r=eps_r, dielectric=dielectric)
 
-    controller_raw = raw.get("controller", {"tech": "SFQ"})
-    _check_keys(controller_raw, {"tech", "power_per_qubit"}, "controller")
-    power = controller_raw.get("power_per_qubit")
-    controller = controller_tech(
-        str(controller_raw.get("tech", "SFQ")),
-        None if power is None else units.parse_power(power, "controller.power_per_qubit"),
-    )
-
-    thermal = _parse_thermal(raw.get("thermal", {}), stages)
-    for _, path in thermal.paths:
-        if path.material not in cat:
-            raise ConfigInvalid("thermal.paths", f"material {path.material!r} not in catalog")
-
-    sweeps = _parse_sweeps(raw.get("sweeps"), "sweeps")
-
-    annotations = []
-    for i, a in enumerate(raw.get("annotations", [])):
-        w = f"annotations[{i}]"
-        _check_keys(a, {"cable", "kind", "position"}, w)
-        annotations.append(Annotation(
-            cable=str(_require(a, "cable", w)),
-            kind=str(_require(a, "kind", w)),
-            position=units.parse_length(_require(a, "position", w), f"{w}.position"),
-        ))
+    stages = default_stage_model()
+    if "stages" in doc:
+        stages = build(StageModel, "stages", stages=tuple(
+            build(Stage, f"stages[{i}]", **s) for i, s in enumerate(doc["stages"])))
 
     return DesignConfig(
         qubit_array=qubit_array,
         wiring=wiring,
         pin_stack=pin_stack,
         layout=layout,
-        coax=coax,
-        cpw=cpw,
-        rf=rf,
+        coax=build(CoaxSpec, "coax", **coax),
+        cpw=build(CpwSpec, "cpw", **doc["cpw"]) if "cpw" in doc else None,
+        rf=build(RfSettings, "rf", **doc["rf"]),
         stages=stages,
-        controller=controller,
-        thermal=thermal,
-        sweeps=sweeps,
-        annotations=tuple(annotations),
+        thermal=_thermal(doc["thermal"], stages, cat),
+        sweeps=tuple(SweepDecl(**s) for s in doc.get("sweeps", ())),
+        annotations=tuple(Annotation(**a) for a in doc.get("annotations", ())),
         interposer_dielectric=dielectric,
         pin_hole_clearance=clearance,
         raw=raw,
@@ -449,7 +272,7 @@ def load_design_config(path: str | Path, catalog: MaterialCatalog | None = None)
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigInvalid(str(path), f"not valid JSON: {exc}") from None
     return parse_design_config(raw, catalog)
 

@@ -35,6 +35,7 @@ class ConfigInvalid(DensewireError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 class UnsupportedFormat(DensewireError):

@@ -75,13 +75,6 @@ class InterposerLayout:
     solder_ball_sites: tuple[tuple[float, float], ...]
     annotations: tuple[Annotation, ...] = ()
 
-    def extent(self) -> float:
-        """Side length of the bounding square of the hole array."""
-        if len(self.hole_centers) == 1:
-            return 0.0
-        xs = [p[0] for p in self.hole_centers]
-        return max(xs) - min(xs)
-
 
 def generate_layout(cfg: LayoutConfig, annotations: tuple[Annotation, ...] = ()) -> InterposerLayout:
     """Square n x n pad/hole grid at the qubit pitch, one channel and one

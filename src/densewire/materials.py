@@ -15,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigInvalid, NotAConductor, OutOfRange, UnknownMaterial
+from .units import build, listof, number, optional, pair, section, string
 
 CONDUCTOR = "conductor"
 DIELECTRIC = "dielectric"
@@ -80,38 +81,45 @@ REQUIRED_MATERIALS = (
 )
 
 
-def _material_from_record(rec: dict, where: str) -> Material:
-    known = {
-        "name", "kind", "relative_permittivity", "superconducting_Tc",
-        "thermal_conductivity_table", "melting_or_reflow_temp",
-    }
-    fields = {k: v for k, v in rec.items() if k in known}
-    try:
-        table = tuple((float(t), float(k)) for t, k in fields.pop("thermal_conductivity_table", ()))
-        return Material(thermal_conductivity_table=table, **fields)
-    except (ValueError, TypeError) as exc:
-        raise ConfigInvalid(where, str(exc)) from None
+def _aliases(value, where: str) -> dict:
+    """An object mapping each alias to the name of a catalog entry."""
+    if not isinstance(value, dict):
+        raise ConfigInvalid(where, f"expected an object, got {type(value).__name__}")
+    return {alias: string(target, f"{where}.{alias}") for alias, target in value.items()}
+
+
+_CATALOG_SCHEMA = section(
+    materials=optional(listof(section(
+        name=string, kind=string,
+        relative_permittivity=optional(number), superconducting_Tc=optional(number),
+        thermal_conductivity_table=optional(listof(pair(number, number))),
+        melting_or_reflow_temp=optional(number)), unique="name"), []),
+    aliases=optional(_aliases, {}),
+)
 
 
 def load_catalog(path: str | Path) -> MaterialCatalog:
     """Load a catalog from a JSON file; see data/materials.json for the schema."""
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = json.load(f)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ConfigInvalid(str(path), f"not valid JSON: {exc}") from None
     return _catalog_from_dict(raw, str(path))
 
 
-def _catalog_from_dict(raw: dict, where: str) -> MaterialCatalog:
-    entries = {}
-    for i, rec in enumerate(raw.get("materials", ())):
-        mat = _material_from_record(rec, f"{where}: materials[{i}]")
-        if mat.name in entries:
-            raise ConfigInvalid(f"{where}: materials[{i}]", f"duplicate material {mat.name!r}")
-        entries[mat.name] = mat
-    aliases = dict(raw.get("aliases", {}))
-    for alias, target in aliases.items():
-        if target not in entries:
-            raise ConfigInvalid(f"{where}: aliases.{alias}", f"alias target {target!r} not in catalog")
-    return MaterialCatalog(entries=entries, aliases=aliases)
+def _catalog_from_dict(raw, where: str) -> MaterialCatalog:
+    try:
+        doc = _CATALOG_SCHEMA(raw, "")
+        entries = {}
+        for i, rec in enumerate(doc["materials"]):
+            entries[rec["name"]] = build(Material, f"materials[{i}]", **rec)
+        for alias, target in doc["aliases"].items():
+            if target not in entries:
+                raise ConfigInvalid(f"aliases.{alias}", f"alias target {target!r} not in catalog")
+    except ConfigInvalid as exc:
+        raise ConfigInvalid(f"{where}: {exc.field}", exc.message) from None
+    return MaterialCatalog(entries=entries, aliases=doc["aliases"])
 
 
 _DEFAULT: MaterialCatalog | None = None

@@ -145,6 +145,8 @@ class ConductionPath:
             raise ValueError("count must be >= 1")
         if self.scale < 0:
             raise ValueError("scale must be >= 0")
+        if self.residual_resistivity is not None and self.residual_resistivity <= 0:
+            raise ValueError("residual_resistivity must be > 0")
 
 
 def _adaptive_trapezoid(f, a: float, b: float, rtol: float) -> float:
@@ -292,7 +294,9 @@ def stage_report(arch: ThermalArchitecture, stages: StageModel,
             if stage_name != s.name:
                 continue
             material = catalog.lookup(path.material)
-            if material.thermal_conductivity_table:
+            # Without a table or a residual resistivity, conduction_load
+            # reports the missing k(T) data.
+            if material.thermal_conductivity_table or path.residual_resistivity is None:
                 conduction_w += conduction_load(path, catalog)
                 methods.append("table")
             else:

@@ -1,16 +1,23 @@
-"""Parsing and formatting of unit-suffixed quantities.
+"""Parsing and formatting of unit-suffixed quantities, and the field
+kinds that read every JSON input of the toolkit.
 
 Config files carry dimensional values as strings with explicit unit
 suffixes ("500um", "10GHz", "1W").  Bare numbers are accepted and taken
 as base SI units; suffixed strings are strongly preferred in configs to
 avoid silent unit mistakes.
+
+A field kind is a callable ``kind(value, where) -> parsed`` that raises
+``ConfigInvalid(where)`` for any value it cannot accept; ``where`` is the
+dotted path of the field.  The ``parse_<dimension>`` functions are kinds,
+and ``section`` nests kinds into a declarative schema of a JSON object.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, DensewireError
 
 _QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*(.*?)\s*$")
 
@@ -49,7 +56,7 @@ def parse_quantity(value, units: dict[str, float], field: str = "value") -> floa
     if isinstance(value, bool):
         raise ConfigInvalid(field, "expected a quantity, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, field)
     if not isinstance(value, str):
         raise ConfigInvalid(field, f"expected number or unit string, got {type(value).__name__}")
     m = _QUANTITY_RE.match(value)
@@ -60,6 +67,8 @@ def parse_quantity(value, units: dict[str, float], field: str = "value") -> floa
         magnitude = float(number)
     except ValueError:
         raise ConfigInvalid(field, f"cannot parse number in {value!r}") from None
+    if not math.isfinite(magnitude):
+        raise ConfigInvalid(field, f"non-finite number in {value!r}")
     if not suffix:
         raise ConfigInvalid(field, f"missing unit suffix in {value!r} (e.g. {value}{next(iter(units))!r})")
     if suffix not in units:
@@ -97,12 +106,132 @@ def parse_inductance(value, field: str = "inductance") -> float:
     return parse_quantity(value, INDUCTANCE_UNITS, field)
 
 
-def parse_capacitance(value, field: str = "capacitance") -> float:
-    return parse_quantity(value, CAPACITANCE_UNITS, field)
-
-
 def parse_pressure(value, field: str = "pressure") -> float:
     return parse_quantity(value, PRESSURE_UNITS, field)
+
+
+def _finite(value, where: str) -> float:
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigInvalid(where, f"expected a finite number, got {value!r}")
+    return x
+
+
+def number(value, where: str) -> float:
+    """A finite JSON number (not a boolean), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(where, f"expected a number, got {type(value).__name__}")
+    return _finite(value, where)
+
+
+def integer(minimum: int):
+    """Kind for an integral JSON number >= `minimum`; 3.0 reads as 3, 2.5 is rejected."""
+    def read(value, where: str) -> int:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or (isinstance(value, float) and not value.is_integer())):
+            raise ConfigInvalid(where, f"expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigInvalid(where, f"must be >= {minimum}, got {value!r}")
+        return int(value)
+    return read
+
+
+def flag(value, where: str) -> bool:
+    """JSON true or false."""
+    if not isinstance(value, bool):
+        raise ConfigInvalid(where, f"expected true or false, got {value!r}")
+    return value
+
+
+def string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigInvalid(where, f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def listof(kind, unique: str | None = None):
+    """Kind for a JSON list of `kind`, read into a tuple.
+
+    With `unique`, the items are sections whose `unique` field must differ;
+    a repeat is reported at the later item.
+    """
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigInvalid(where, f"expected a list, got {type(value).__name__}")
+        items = tuple(kind(v, f"{where}[{i}]") for i, v in enumerate(value))
+        if unique is not None:
+            seen = set()
+            for i, item in enumerate(items):
+                if item[unique] in seen:
+                    raise ConfigInvalid(f"{where}[{i}].{unique}",
+                                        f"duplicate {unique} {item[unique]!r}")
+                seen.add(item[unique])
+        return items
+    return read
+
+
+def pair(first, second):
+    """Kind for a two-element JSON list [a, b], read into a tuple."""
+    def read(value, where: str) -> tuple:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ConfigInvalid(where, f"expected a [a, b] pair, got {value!r}")
+        return first(value[0], f"{where}[0]"), second(value[1], f"{where}[1]")
+    return read
+
+
+_REQUIRED = object()
+_ABSENT = object()
+
+
+def optional(kind, default=_ABSENT):
+    """Mark a section field optional.  A missing key reads `default` through
+    `kind`, or, when no default is given, is left out of the result so that
+    the value type's own default applies."""
+    return kind, default
+
+
+def section(**fields):
+    """Kind for a JSON object with the given fields, read into a dict.
+
+    Each field is a kind (required) or ``optional(kind, default)``.  Keys
+    named "notes" or starting with "_" are annotations and ignored; any
+    other unknown key is rejected.
+    """
+    spec = {name: f if isinstance(f, tuple) else (f, _REQUIRED) for name, f in fields.items()}
+    expected = sorted(spec)
+
+    def read(value, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigInvalid(where or "<root>",
+                                f"expected an object, got {type(value).__name__}")
+        prefix = f"{where}." if where else ""
+        for key in value:
+            if key not in spec and key != "notes" and not key.startswith("_"):
+                raise ConfigInvalid(prefix + key, f"unknown field; expected one of {expected}")
+        out = {}
+        for name, (kind, default) in spec.items():
+            if name in value:
+                out[name] = kind(value[name], prefix + name)
+            elif default is _REQUIRED:
+                raise ConfigInvalid(prefix + name, "missing required field")
+            elif default is not _ABSENT:
+                out[name] = kind(default, prefix + name)
+        return out
+    return read
+
+
+def build(cls, where: str, **fields):
+    """``cls(**fields)``, with the value type's own validation errors
+    reported as ``ConfigInvalid(where)``."""
+    try:
+        return cls(**fields)
+    except ConfigInvalid:
+        raise
+    except (ValueError, DensewireError) as exc:
+        raise ConfigInvalid(where, str(exc)) from None
 
 
 def format_length(meters: float) -> str:

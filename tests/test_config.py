@@ -1,10 +1,18 @@
+import contextlib
 import copy
+import io
 import json
+import re
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densewire.config import load_design_config, parse_design_config, set_parameter
+from densewire.cli import main
+from densewire.config import RfSettings, load_design_config, parse_design_config, set_parameter
 from densewire.errors import ConfigInvalid, UnknownParameter
 
 
@@ -126,3 +134,132 @@ class TestSetParameter:
             set_parameter(raw, "layout.nope", 1.0)
         with pytest.raises(UnknownParameter):
             set_parameter(raw, "wiring.7.wire_pitch", 1.0)
+
+
+def _mutated(raw: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def _run_cli(raw: dict, command: str, out_dir: Path) -> tuple[int, str]:
+    """Write `raw` as a config file, run one subcommand, return (exit code, stderr)."""
+    config = out_dir / "design.json"
+    config.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(config), "--out", str(out_dir / "out"), command])
+    return code, err.getvalue()
+
+
+_STAGES = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
+           {"name": "3K", "temperature": "3K", "cooling_power": "1W"},
+           {"name": "3K", "temperature": "1K", "cooling_power": "1W"},
+           {"name": "10mK", "temperature": "10mK", "cooling_power": "20uW"}]
+_LATERAL = [{"access": "lateral", "wire_pitch": "56um"}, {"access": "vertical", "wire_pitch": "400um"},
+            {"access": "lateral", "wire_pitch": "100um"}]
+
+
+# Each row: (mutated leaf, value, subcommand, the field path the exit-1 message names).
+_BAD_INPUTS = [
+    # raised a traceback
+    (("rf", "points"), "abc", "rf", "rf.points"),
+    (("rf", "points"), 1, "rf", "rf.points"),
+    (("rf", "points"), 0, "rf", "rf.points"),
+    (("rf", "band"), ["0Hz", "20GHz"], "rf", "rf"),
+    (("thermal", "controllers", 0, "tech"), "bogus", "budget", "thermal.controllers[0]"),
+    (("thermal", "controllers", 0, "count"), 0, "budget", "thermal.controllers[0].count"),
+    (("wiring", 1, "wires_per_qubit"), "x", "scale", "wiring[1].wires_per_qubit"),
+    (("interposer", "eps_r"), "x", "impedance", "interposer.eps_r"),
+    (("qubit_array",), [1], "scale", "qubit_array"),
+    (("cpw", "substrate_eps_r"), float("nan"), "impedance", "cpw.substrate_eps_r"),
+    (("layout", "pin_length"), float("nan"), "layout", "layout.pin_length"),
+    (("qubit_array", "chip_side"), float("inf"), "scale", "qubit_array.chip_side"),
+    # silently coerced or accepted
+    (("sweeps", 0, "steps"), 2.5, "sweep", "sweeps[0].steps"),
+    (("rf", "taper_segments"), -1, "rf", "rf.taper_segments"),
+    (("layout", "array_side_count"), 2.7, "layout", "layout.array_side_count"),
+    (("thermal", "paths", 0, "count"), True, "budget", "thermal.paths[0].count"),
+    (("stages",), _STAGES, "budget", "stages[2].name"),
+    (("wiring",), _LATERAL, "scale", "wiring[2].access"),
+    # exited 2 although a config error
+    (("cpw", "substrate_eps_r"), 0.5, "impedance", "cpw"),
+    (("cpw", "covered"), "no", "impedance", "cpw.covered"),
+    # exited 1 with a misleading message
+    (("layout",), [], "layout", "layout"),
+    (("stages",), {}, "budget", "stages"),
+    (("wiring", 0), "lateral", "scale", "wiring[0]"),
+    (("thermal", "paths", 0, "residual_resistivity"), -1e-9, "budget", "thermal.paths[0]"),
+    # non-finite through a unit string; a removed section
+    (("qubit_array", "chip_side"), "1e999um", "scale", "qubit_array.chip_side"),
+    (("controller",), {"tech": "SFQ"}, "scale", "controller"),
+]
+
+
+@pytest.mark.parametrize("path,value,command,field", _BAD_INPUTS,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}"[:40] for p, v, _, _ in _BAD_INPUTS])
+def test_bad_input_exits_1_naming_field(default_raw, tmp_path, path, value, command, field):
+    code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
+    assert code == 1
+    assert err.startswith(f"error: {field}: "), err
+
+
+def test_path_without_conductivity_data_exits_2(raw, tmp_path):
+    # Al has no k(T) table, and the path gives no residual resistivity for
+    # the Wiedemann-Franz fallback: an analysis error, not a traceback.
+    raw["thermal"]["paths"][0]["material"] = "Al"
+    code, err = _run_cli(raw, "budget", tmp_path)
+    assert code == 2
+    assert "no thermal conductivity data" in err
+
+
+def test_unknown_sweep_parameter_names_declaration(raw, tmp_path):
+    raw["sweeps"][1]["parameter"] = "layout.nope"
+    code, err = _run_cli(raw, "sweep", tmp_path)
+    assert code == 1
+    assert err.startswith("error: sweeps[1].parameter: "), err
+
+
+def test_integral_float_reads_as_int(raw, catalog):
+    # Sweeps write floats into the raw config, so 20.0 must stay a valid count.
+    raw["layout"]["array_side_count"] = 20.0
+    assert parse_design_config(raw, catalog).layout.array_side_count == 20
+
+
+def test_absent_rf_section_takes_type_defaults(raw, catalog):
+    del raw["rf"]
+    assert parse_design_config(raw, catalog).rf == RfSettings()
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, (*path, i))
+    else:
+        yield path
+
+
+_DEFAULT_RAW = json.loads(
+    resources.files("densewire").joinpath("data/default_config.json").read_text("utf-8"))
+# Small magnitudes only: a large finite count or length would build a huge
+# layout or RF grid without testing anything the small ones do not.
+_BAD_VALUES = ["x", "", None, True, False, [], {}, -1, 0, 1, 0.5, 2.5, "-1um", "0um",
+               "1GHz", "1e999um", float("nan"), float("inf")]
+_FIELD_PATH = re.compile(r"error: (<root>|[A-Za-z_]\w*(\[\d+\])*(\.\w+(\[\d+\])*)*): ")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(leaf=st.sampled_from(list(_leaves(_DEFAULT_RAW))), value=st.sampled_from(_BAD_VALUES),
+       command=st.sampled_from(["scale", "impedance", "rf", "budget", "sweep", "layout"]))
+def test_any_single_leaf_mutation_exits_cleanly(leaf, value, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_cli(_mutated(_DEFAULT_RAW, leaf, value), command, Path(tmp))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert _FIELD_PATH.match(err), err

@@ -148,6 +148,24 @@ def test_load_catalog_rejects_dangling_alias(tmp_path):
         load_catalog(path)
 
 
+@pytest.mark.parametrize("text,field", [
+    ("{nope", "not valid JSON"),
+    ("[]", "<root>"),
+    ('{"materials": {}}', "materials"),
+    ('{"materials": [{"name": "a", "kind": "conductor", "Tc": 1.0}]}', "materials[0].Tc"),
+    ('{"materials": [{"name": "a", "kind": "conductor", "superconducting_Tc": "1K"}]}',
+     "materials[0].superconducting_Tc"),
+])
+def test_bad_catalog_exits_1_naming_field(tmp_path, capsys, text, field):
+    from densewire.cli import main
+
+    path = tmp_path / "mats.json"
+    path.write_text(text)
+    code = main(["--materials", str(path), "--out", str(tmp_path / "o"), "scale"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {field}")
+
+
 def test_default_config_materials_exist_in_catalog(catalog):
     # Closure: every material the shipped design references must resolve.
     from densewire.config import parse_design_config
