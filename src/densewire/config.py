@@ -99,15 +99,8 @@ class DesignConfig:
         return None
 
 
-_ALL_UNITS: dict[str, float] = {}
-for table in (units.LENGTH_UNITS, units.AREA_UNITS, units.FREQUENCY_UNITS, units.POWER_UNITS,
-              units.TEMPERATURE_UNITS, units.RESISTANCE_UNITS, units.INDUCTANCE_UNITS,
-              units.CAPACITANCE_UNITS, units.PRESSURE_UNITS):
-    _ALL_UNITS.update(table)
-
-
-def _sweep_value(value, where: str) -> float:
-    return units.parse_quantity(value, _ALL_UNITS, where)
+def _raw(value, where: str):
+    return value
 
 
 def _core_diameter(value, where: str):
@@ -143,7 +136,7 @@ _SCHEMA = section(
                           eps_r=optional(number))),
     cpw=optional(section(
         trace_width=length, gap=length, substrate_eps_r=number, covered=optional(flag),
-        cover_height=optional(length), ground_width=optional(length))),
+        cover_height=optional(length))),
     rf=optional(section(
         band=optional(pair(units.parse_frequency, units.parse_frequency)),
         points=optional(integer(2)), system_impedance=optional(resistance),
@@ -159,8 +152,9 @@ _SCHEMA = section(
             stage=string, material=string, cross_section_area=area, length=length,
             t_hot=temperature, t_cold=temperature, count=optional(integer(1)),
             scale=optional(number), residual_resistivity=optional(number))))), {}),
+    # Sweep end-points are read with the swept field's kind in _sweeps.
     sweeps=optional(listof(section(
-        parameter=string, start=_sweep_value, stop=_sweep_value, steps=integer(1)))),
+        parameter=string, start=_raw, stop=_raw, steps=integer(1)))),
     annotations=optional(listof(section(cable=string, kind=string, position=length))),
 )
 
@@ -203,6 +197,22 @@ def _thermal(doc: dict, stages: StageModel, cat: MaterialCatalog) -> ThermalArch
             raise ConfigInvalid(f"{where}.material", f"material {p['material']!r} not in catalog")
         paths.append((stage, build(ConductionPath, where, **p)))
     return ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))
+
+
+def _sweeps(entries: tuple[dict, ...]) -> tuple[SweepDecl, ...]:
+    out = []
+    for i, d in enumerate(entries):
+        where, kind = f"sweeps[{i}]", _SCHEMA
+        for key in d["parameter"].split("."):
+            kind = getattr(kind, "child", lambda _: None)(key)
+            if kind is None:
+                raise ConfigInvalid(f"{where}.parameter", f"no config field {d['parameter']!r}")
+        for end in ("start", "stop"):
+            d[end] = kind(d[end], f"{where}.{end}")
+            if type(d[end]) not in (int, float):  # a flag, string or section
+                raise ConfigInvalid(f"{where}.{end}", f"{d['parameter']} is not a numeric field")
+        out.append(SweepDecl(**d))
+    return tuple(out)
 
 
 def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> DesignConfig:
@@ -260,7 +270,7 @@ def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> De
         rf=build(RfSettings, "rf", **doc["rf"]),
         stages=stages,
         thermal=_thermal(doc["thermal"], stages, cat),
-        sweeps=tuple(SweepDecl(**s) for s in doc.get("sweeps", ())),
+        sweeps=_sweeps(doc.get("sweeps", ())),
         annotations=tuple(Annotation(**a) for a in doc.get("annotations", ())),
         interposer_dielectric=dielectric,
         pin_hole_clearance=clearance,

@@ -1,16 +1,17 @@
 """Cryogenic power and heat-load bookkeeping.
 
 Controller dissipation is checked against per-stage cooling power, and
-conductive leaks through wiring cross-sections are integrated over the
-tabulated k(T) of the path material.  All computations are pure; paths
-are evaluated independently and summed deterministically.
+conductive leaks through wiring cross-sections are integrated in closed
+form over the log-log interpolated k(T) table of the path material.  All
+computations are pure; paths are evaluated independently and summed
+deterministically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import OutOfRange
 from .materials import MaterialCatalog, interpolate_conductivity
 
 LORENZ_NUMBER = 2.44e-8  # W ohm / K^2
@@ -139,6 +140,8 @@ class ConductionPath:
     def __post_init__(self):
         if self.cross_section_area <= 0 or self.length <= 0:
             raise ValueError("area and length must be > 0")
+        if self.t_cold <= 0:
+            raise ValueError("t_cold must be > 0")
         if self.t_hot < self.t_cold:
             raise ValueError("t_hot must be >= t_cold")
         if self.count < 1:
@@ -149,51 +152,36 @@ class ConductionPath:
             raise ValueError("residual_resistivity must be > 0")
 
 
-def _adaptive_trapezoid(f, a: float, b: float, rtol: float) -> float:
-    """Adaptive trapezoid by interval halving until the refinement stalls."""
-    def recurse(x0, x1, f0, f1, whole, depth):
-        xm = 0.5 * (x0 + x1)
-        fm = f(xm)
-        left = 0.25 * (x1 - x0) * (f0 + fm)
-        right = 0.25 * (x1 - x0) * (fm + f1)
-        refined = left + right
-        if depth >= 40 or abs(refined - whole) <= rtol * abs(refined) + 1e-300:
-            return refined
-        return (recurse(x0, xm, f0, fm, left, depth + 1)
-                + recurse(xm, x1, fm, f1, right, depth + 1))
+def _power_law_integral(a: float, ka: float, b: float, kb: float) -> float:
+    """Exact integral over [a, b] of the power law k(T) = ka (T/a)^n with k(b) = kb.
 
-    fa, fb = f(a), f(b)
-    whole = 0.5 * (b - a) * (fa + fb)
-    return recurse(a, b, fa, fb, whole, 0)
+    With L = ln(b/a) and x = (n+1) L = ln(kb b) - ln(ka a), it is
+    ka a L expm1(x)/x (ka a L at n = -1, x = 0), written as (kb b - ka a) L/x
+    once |x| >= 1.  Neither form raises T to a power, so k spanning hundreds
+    of decades stays finite.
+    """
+    span = math.log(b / a)
+    x = math.log(kb) - math.log(ka) + span
+    if abs(x) >= 1.0:
+        return (kb * b - ka * a) * span / x
+    return ka * a * span * (math.expm1(x) / x if x else 1.0)
 
 
-def conduction_load(path: ConductionPath, catalog: MaterialCatalog,
-                    rtol: float = 1e-6) -> float:
+def conduction_load(path: ConductionPath, catalog: MaterialCatalog) -> float:
     """Conductive heat flow Q = count * (A/L) * integral of k(T) dT, watts.
 
-    Integration is adaptive-trapezoid on the log-log interpolated table,
-    split at the table nodes; relative tolerance defaults to 1e-6.
+    Between table nodes the log-log interpolated k(T) is a power law, so
+    the integral is exact per segment, split at the table nodes.
     """
     if path.t_hot == path.t_cold:
         return 0.0
     material = catalog.lookup(path.material)
-    table = material.thermal_conductivity_table
-    if not table:
-        raise OutOfRange(f"{material.name}: no thermal conductivity data")
-    if path.t_cold < table[0][0] or path.t_hot > table[-1][0]:
-        raise OutOfRange(
-            f"{material.name}: [{path.t_cold}, {path.t_hot}] K outside table range "
-            f"[{table[0][0]}, {table[-1][0]}] K"
-        )
-
-    def k(t: float) -> float:
-        return interpolate_conductivity(material, t)
-
-    # Split at table nodes so each piece is a smooth power-law segment.
-    cuts = [path.t_cold] + [t for t, _ in table if path.t_cold < t < path.t_hot] + [path.t_hot]
-    integral = sum(
-        _adaptive_trapezoid(k, lo, hi, rtol) for lo, hi in zip(cuts, cuts[1:])
-    )
+    # k(T) at the span ends reports a missing table or an out-of-range span.
+    cuts = ([path.t_cold] + [t for t, _ in material.thermal_conductivity_table
+                             if path.t_cold < t < path.t_hot] + [path.t_hot])
+    ks = [interpolate_conductivity(material, t) for t in cuts]
+    integral = sum(_power_law_integral(a, ka, b, kb)
+                   for a, ka, b, kb in zip(cuts, ks, cuts[1:], ks[1:]))
     return path.count * path.scale * (path.cross_section_area / path.length) * integral
 
 

@@ -74,8 +74,7 @@ class CpwSpec:
     """Coplanar waveguide: center trace of width w with gaps s to side grounds.
 
     covered=True adds a ground plane at cover_height above the metallization
-    (the stripline-like mode of a shield-coated ribbon); ground_width is
-    carried for layout purposes only.
+    (the stripline-like mode of a shield-coated ribbon).
     """
 
     trace_width: float
@@ -83,7 +82,6 @@ class CpwSpec:
     substrate_eps_r: float
     covered: bool = False
     cover_height: float | None = None
-    ground_width: float | None = None
 
     def __post_init__(self):
         if self.trace_width <= 0 or self.gap <= 0:

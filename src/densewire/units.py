@@ -10,6 +10,7 @@ A field kind is a callable ``kind(value, where) -> parsed`` that raises
 ``ConfigInvalid(where)`` for any value it cannot accept; ``where`` is the
 dotted path of the field.  The ``parse_<dimension>`` functions are kinds,
 and ``section`` nests kinds into a declarative schema of a JSON object.
+Container kinds carry ``child(key)``, the kind of one member or None.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ POWER_UNITS = {
 TEMPERATURE_UNITS = {"K": 1.0, "mK": 1e-3}
 RESISTANCE_UNITS = {"ohm": 1.0, "Ohm": 1.0, "kohm": 1e3, "mohm": 1e-3}
 INDUCTANCE_UNITS = {"H": 1.0, "uH": 1e-6, "µH": 1e-6, "nH": 1e-9, "pH": 1e-12}
-CAPACITANCE_UNITS = {"F": 1.0, "uF": 1e-6, "µF": 1e-6, "nF": 1e-9, "pF": 1e-12, "fF": 1e-15}
 PRESSURE_UNITS = {"Pa": 1.0, "kPa": 1e3, "MPa": 1e6, "N/mm2": 1e6}
 
 
@@ -170,6 +170,7 @@ def listof(kind, unique: str | None = None):
                                         f"duplicate {unique} {item[unique]!r}")
                 seen.add(item[unique])
         return items
+    read.child = lambda key: kind if key.isdecimal() else None
     return read
 
 
@@ -179,6 +180,7 @@ def pair(first, second):
         if not (isinstance(value, list) and len(value) == 2):
             raise ConfigInvalid(where, f"expected a [a, b] pair, got {value!r}")
         return first(value[0], f"{where}[0]"), second(value[1], f"{where}[1]")
+    read.child = {"0": first, "1": second}.get
     return read
 
 
@@ -220,6 +222,7 @@ def section(**fields):
             elif default is not _ABSENT:
                 out[name] = kind(default, prefix + name)
         return out
+    read.child = lambda key: spec[key][0] if key in spec else None
     return read
 
 

@@ -1,9 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 These deliberately avoid the code paths they check: quadrature instead of
-the AGM, fixed-step Simpson instead of adaptive trapezoid, closed-form
-reflection formulas instead of the ABCD cascade, and bisection instead of
-algebraic solutions.
+the AGM, fixed-step Simpson instead of the closed-form power-law integral,
+closed-form reflection formulas instead of the ABCD cascade, and bisection
+instead of algebraic solutions.
 """
 
 from __future__ import annotations

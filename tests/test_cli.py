@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -165,6 +166,26 @@ class TestOverrides:
         assert code == 0
         doc = json.loads((tmp_path / "o" / "impedance.json").read_text())
         assert doc["analysis"]["coax"]["eps_r"] == 9.0  # override took effect
+
+    def test_extreme_conductivity_table_budget(self, tmp_path, config_file, capsys):
+        # k from 1e-300 to 1e300 W/m/K over one octave: a finite budget, no traceback.
+        catalog = json.loads(
+            resources.files("densewire").joinpath("data/materials.json").read_text("utf-8"))
+        nbti = next(m for m in catalog["materials"] if m["name"] == "Nb-Ti")
+        nbti["thermal_conductivity_table"] = [[1, 1e-300], [2, 1e300]]
+        materials = tmp_path / "mats.json"
+        materials.write_text(json.dumps(catalog))
+        config = json.loads(config_file.read_text())
+        config["thermal"]["paths"][0].update(t_hot="2K", t_cold="1K")
+        config_file.write_text(json.dumps(config))
+        code = main(["--config", str(config_file), "--materials", str(materials),
+                     "--out", str(tmp_path / "o"), "budget"])
+        assert code == 0, capsys.readouterr().err
+        doc = json.loads((tmp_path / "o" / "budget.json").read_text())
+        row = next(r for r in doc["analysis"]["stages"] if r["stage"] == "10mK")
+        n_plus_1 = 1.0 + (math.log(1e300) - math.log(1e-300)) / math.log(2.0)
+        expected = 160000 * (314.159265e-12 / 300e-6) * 2e300 / n_plus_1
+        assert row["conduction_w"] == pytest.approx(expected, rel=1e-12)
 
     def test_custom_config_runs(self, tmp_path, config_file):
         code = main(["--config", str(config_file), "--out", str(tmp_path / "o"), "scale"])

@@ -99,6 +99,18 @@ def test_sweep_declaration_validation(raw, catalog):
     assert "sweeps[0].steps" in str(err.value)
 
 
+def test_sweep_end_points_take_the_swept_field_kind(raw, catalog):
+    raw["sweeps"] = [{"parameter": "layout.hole_diameter", "start": 2e-4, "stop": "0.3mm",
+                      "steps": 2},
+                     {"parameter": "rf.band.1", "start": "1GHz", "stop": 2e9, "steps": 2}]
+    sweeps = parse_design_config(raw, catalog).sweeps
+    assert [(s.start, s.stop) for s in sweeps] == [(2e-4, 0.3e-3), (1e9, 2e9)]
+    raw["sweeps"] = [{"parameter": "pin_stack.core_diameter", "start": "auto",
+                      "stop": "auto", "steps": 2}]
+    with pytest.raises(ConfigInvalid, match=r"^sweeps\[0\]\.start: "):
+        parse_design_config(raw, catalog)
+
+
 def test_notes_keys_are_ignored(raw, catalog):
     raw["layout"]["notes"] = "hand-tuned"
     raw["_review"] = {"status": "ok"}
@@ -162,6 +174,9 @@ _STAGES = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
 _LATERAL = [{"access": "lateral", "wire_pitch": "56um"}, {"access": "vertical", "wire_pitch": "400um"},
             {"access": "lateral", "wire_pitch": "100um"}]
 
+_WF_PATH = {"stage": "10mK", "material": "Al", "cross_section_area": "1um2", "length": "1mm",
+            "t_hot": "3K", "residual_resistivity": 1e-10}
+
 
 # Each row: (mutated leaf, value, subcommand, the field path the exit-1 message names).
 _BAD_INPUTS = [
@@ -196,6 +211,15 @@ _BAD_INPUTS = [
     # non-finite through a unit string; a removed section
     (("qubit_array", "chip_side"), "1e999um", "scale", "qubit_array.chip_side"),
     (("controller",), {"tech": "SFQ"}, "scale", "controller"),
+    # a Wiedemann-Franz path reported watts from T^2 at t_cold <= 0; a table
+    # path exited 2; a sweep end-point of another dimension was swept;
+    # a removed field
+    (("thermal", "paths", 0), _WF_PATH | {"t_cold": "-1K"}, "budget", "thermal.paths[0]"),
+    (("thermal", "paths", 0), _WF_PATH | {"t_cold": "0K"}, "budget", "thermal.paths[0]"),
+    (("thermal", "paths", 0, "t_cold"), "-1K", "budget", "thermal.paths[0]"),
+    (("sweeps", 0, "start"), "1GHz", "sweep", "sweeps[0].start"),
+    (("sweeps", 1, "stop"), "3K", "scale", "sweeps[1].stop"),
+    (("cpw", "ground_width"), "50um", "impedance", "cpw.ground_width"),
 ]
 
 

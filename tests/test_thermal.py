@@ -3,7 +3,7 @@ import math
 import pytest
 
 from densewire.errors import OutOfRange, UnknownMaterial
-from densewire.materials import interpolate_conductivity
+from densewire.materials import Material, MaterialCatalog, interpolate_conductivity
 from densewire.thermal import (
     CRYO_CMOS_CONTROLLER,
     LORENZ_NUMBER,
@@ -23,6 +23,10 @@ from densewire.thermal import (
 from oracles import simpson
 
 STAGE_3K = Stage("3K", 3.0, 1.0)
+
+# k from 1e-300 to 1e300 W/m/K between 1 K and 2 K: n + 1 = 1 + ln(1e600)/ln 2.
+EXTREME_TABLE = ((1.0, 1e-300), (2.0, 1e300))
+EXTREME_INTEGRAL = 2e300 / (1.0 + (math.log(1e300) - math.log(1e-300)) / math.log(2.0))
 
 VIA_BUNDLE = ConductionPath(
     material="Nb-Ti",
@@ -110,11 +114,35 @@ class TestConductionLoad:
             lambda t: interpolate_conductivity(catalog.lookup("Nb-Ti"), t), 0.01, 3.0, 20001)
         assert q == pytest.approx(oracle, rel=5e-3)
 
-    def test_tolerance_refinement(self, catalog):
-        path = ConductionPath("polyimide", 1e-6, 0.1, 77.0, 0.1)
-        coarse = conduction_load(path, catalog, rtol=1e-6)
-        fine = conduction_load(path, catalog, rtol=1e-8)
-        assert abs(coarse - fine) <= 1e-6 * abs(fine) * 10
+    @pytest.mark.parametrize("material", ["Nb-Ti", "SUS-304", "OFHC-Cu", "polyimide"])
+    @pytest.mark.parametrize("t_hot,t_cold", [
+        (300.0, 50.0), (50.0, 3.0), (3.0, 0.7), (0.7, 0.1), (0.1, 0.01), (0.45, 0.25),
+    ])
+    def test_exact_per_segment(self, catalog, material, t_hot, t_cold):
+        # Simpson per table segment: each segment is a smooth power law, so
+        # 2001 points reach float precision; (0.45, 0.25) lies inside one.
+        m = catalog.lookup(material)
+        cuts = ([t_cold] + [t for t, _ in m.thermal_conductivity_table if t_cold < t < t_hot]
+                + [t_hot])
+        oracle = sum(simpson(lambda t: interpolate_conductivity(m, t), a, b, 2001)
+                     for a, b in zip(cuts, cuts[1:]))
+        path = ConductionPath(material, 1.0, 1.0, t_hot, t_cold)
+        assert conduction_load(path, catalog) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("t_cold,t_hot", [(0.01, 100.0), (0.02, 0.7), (0.3, 0.5), (1.0, 3.0)])
+    def test_inverse_temperature_law_is_logarithmic(self, t_cold, t_hot):
+        # k = 5/T is the power-law exponent n = -1: the integral is 5 ln(b/a).
+        table = ((0.01, 500.0), (1.0, 5.0), (100.0, 0.05))
+        cat = MaterialCatalog({"inv": Material("inv", "conductor", thermal_conductivity_table=table)})
+        q = conduction_load(ConductionPath("inv", 1.0, 1.0, t_hot, t_cold), cat)
+        assert q == pytest.approx(5.0 * math.log(t_hot / t_cold), rel=2e-15, abs=0)
+
+    def test_extreme_table_is_finite(self):
+        # k rises 600 decades over one octave; T^(n+1) would overflow.
+        cat = MaterialCatalog({"steep": Material(
+            "steep", "conductor", thermal_conductivity_table=EXTREME_TABLE)})
+        q = conduction_load(ConductionPath("steep", 1.0, 1.0, 2.0, 1.0), cat)
+        assert q == pytest.approx(EXTREME_INTEGRAL, rel=1e-12)
 
     def test_out_of_range(self, catalog):
         with pytest.raises(OutOfRange):
