@@ -64,7 +64,6 @@ from .rfnet import (
     TwoPortNetwork,
     UniformLine,
     cascade,
-    element_abcd,
     mismatch_report,
     to_s_parameters,
 )

@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import units
 from .errors import ConfigInvalid, UnknownParameter
 from .layout import Annotation, LayoutConfig
@@ -211,6 +213,11 @@ def _sweeps(entries: tuple[dict, ...]) -> tuple[SweepDecl, ...]:
             d[end] = kind(d[end], f"{where}.{end}")
             if type(d[end]) not in (int, float):  # a flag, string or section
                 raise ConfigInvalid(f"{where}.{end}", f"{d['parameter']} is not a numeric field")
+        if type(d["start"]) is int and any(  # an integer field takes integral points only
+                not float(v).is_integer() for v in np.linspace(d["start"], d["stop"], d["steps"])):
+            raise ConfigInvalid(f"{where}.steps", f"{d['steps']} steps from {d['start']} to "
+                                f"{d['stop']} give non-integral points of integer field "
+                                f"{d['parameter']}")
         out.append(SweepDecl(**d))
     return tuple(out)
 

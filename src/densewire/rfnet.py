@@ -2,9 +2,10 @@
 
 The full path — ribbon CPW feed, impedance taper, coaxial pin section,
 bond-contact discontinuity — is modeled as a chain of two-port elements
-whose per-frequency ABCD matrices multiply in order and convert to
-S-parameters against arbitrary (real) port reference impedances.
-Per-frequency evaluations are independent and vectorized over the grid.
+whose ABCD matrices multiply in order and convert to S-parameters
+against arbitrary (real) port reference impedances.  A network is its
+four ABCD entries, each a complex vector over the frequency grid, so the
+chain product is the 2x2 product written out on whole vectors.
 """
 
 from __future__ import annotations
@@ -79,49 +80,32 @@ class IdealAttenuator:
 NetworkElement = Union[UniformLine, SeriesImpedance, ShuntAdmittance, IdealAttenuator]
 
 
-def _element_abcd_grid(e: NetworkElement, f: np.ndarray) -> np.ndarray:
-    """Per-frequency ABCD matrices for one element, shape (nf, 2, 2)."""
-    nf = f.size
-    m = np.zeros((nf, 2, 2), dtype=complex)
+def _element_abcd(e: NetworkElement, f: np.ndarray) -> tuple:
+    """A, B, C, D of one element over the grid `f`; each a scalar or a length-nf vector."""
     if isinstance(e, UniformLine):
         beta_l = 2.0 * math.pi * f * math.sqrt(e.eps_eff) / SPEED_OF_LIGHT * e.length
         c, s = np.cos(beta_l), np.sin(beta_l)
-        m[:, 0, 0] = c
-        m[:, 0, 1] = 1j * e.z0 * s
-        m[:, 1, 0] = 1j * s / e.z0
-        m[:, 1, 1] = c
-    elif isinstance(e, SeriesImpedance):
-        zs = e.resistance + 1j * 2.0 * math.pi * f * e.inductance
-        m[:, 0, 0] = 1.0
-        m[:, 0, 1] = zs
-        m[:, 1, 1] = 1.0
-    elif isinstance(e, ShuntAdmittance):
-        y = 1j * 2.0 * math.pi * f * e.capacitance
-        m[:, 0, 0] = 1.0
-        m[:, 1, 0] = y
-        m[:, 1, 1] = 1.0
-    elif isinstance(e, IdealAttenuator):
+        return c, 1j * e.z0 * s, 1j * s / e.z0, c
+    if isinstance(e, SeriesImpedance):
+        return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
+    if isinstance(e, ShuntAdmittance):
+        return 1.0, 0.0, 1j * 2.0 * math.pi * f * e.capacitance, 1.0
+    if isinstance(e, IdealAttenuator):
         gamma = e.attenuation_db * math.log(10.0) / 20.0
-        m[:, 0, 0] = math.cosh(gamma)
-        m[:, 0, 1] = e.z_ref * math.sinh(gamma)
-        m[:, 1, 0] = math.sinh(gamma) / e.z_ref
-        m[:, 1, 1] = math.cosh(gamma)
-    else:
-        raise TypeError(f"not a network element: {e!r}")
-    return m
-
-
-def element_abcd(e: NetworkElement, frequency: float) -> np.ndarray:
-    """2x2 complex ABCD matrix of one element at one frequency."""
-    return _element_abcd_grid(e, np.asarray([float(frequency)]))[0]
+        ch, sh = math.cosh(gamma), math.sinh(gamma)
+        return ch, e.z_ref * sh, sh / e.z_ref, ch
+    raise TypeError(f"not a network element: {e!r}")
 
 
 @dataclass(frozen=True)
 class TwoPortNetwork:
-    """Cascaded two-port: per-frequency ABCD matrices plus port references."""
+    """Cascaded two-port: ABCD entries as complex vectors over the grid, plus port references."""
 
     frequencies: np.ndarray
-    abcd: np.ndarray           # (nf, 2, 2) complex
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
     z_src: float = 50.0
     z_load: float = 50.0
 
@@ -133,12 +117,8 @@ class TwoPortNetwork:
             raise ValueError("frequencies must be non-negative and strictly increasing")
         if self.z_src <= 0 or self.z_load <= 0:
             raise ValueError("port impedances must be > 0")
-        if self.abcd.shape != (f.size, 2, 2):
-            raise ValueError("abcd must have shape (nf, 2, 2)")
-
-    def determinants(self) -> np.ndarray:
-        a = self.abcd
-        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        if any(np.shape(v) != f.shape for v in (self.A, self.B, self.C, self.D)):
+            raise ValueError("A, B, C and D must each be a vector of one entry per frequency")
 
 
 def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) -> TwoPortNetwork:
@@ -147,10 +127,12 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
     if not elements:
         raise ValueError("cascade requires at least one element")
     f = np.asarray(frequencies, dtype=float)
-    total = _element_abcd_grid(elements[0], f)
+    A, B, C, D = _element_abcd(elements[0], f)
     for e in elements[1:]:
-        total = total @ _element_abcd_grid(e, f)
-    return TwoPortNetwork(frequencies=f, abcd=total, z_src=z_src, z_load=z_load)
+        a, b, c, d = _element_abcd(e, f)
+        A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
+    A, B, C, D = (np.broadcast_to(v, f.shape).astype(complex, copy=False) for v in (A, B, C, D))
+    return TwoPortNetwork(f, A, B, C, D, z_src=z_src, z_load=z_load)
 
 
 @dataclass(frozen=True)
@@ -176,10 +158,8 @@ class FrequencyResponse:
 
 def to_s_parameters(net: TwoPortNetwork) -> FrequencyResponse:
     """ABCD to S conversion with (possibly unequal) real reference impedances."""
-    a = net.abcd
+    A, B, C, D = net.A, net.B, net.C, net.D
     zs, zl = net.z_src, net.z_load
-    A, B = a[:, 0, 0], a[:, 0, 1]
-    C, D = a[:, 1, 0], a[:, 1, 1]
     den = A * zl + B + C * zs * zl + D * zs
     root = 2.0 * math.sqrt(zs * zl)
     return FrequencyResponse(
@@ -209,6 +189,8 @@ class MismatchReport:
             "f_hi_hz": float(self.response.frequencies[-1]),
             "z_src_ohm": self.response.z_src,
             "z_load_ohm": self.response.z_load,
+            "passivity_residual": float(np.max(np.abs(
+                np.abs(self.response.s11) ** 2 + np.abs(self.response.s21) ** 2 - 1.0))),
         }
 
 
@@ -306,32 +288,41 @@ def crosstalk_split(spec, trace_spacing: float) -> CrosstalkEstimate:
     return CrosstalkEstimate(z_even=z_even, z_odd=z_odd, split_ratio=split)
 
 
+# A single `%` per row formats faster than an f-string of seven or nine
+# fields, and "%.12g" % x == f"{x:.12g}" for every float.
+_CSV_ROW = "%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g"
+_S2P_ROW = "%.10g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g"
+
+
+def _rows(fmt: str, *columns) -> list[str]:
+    """Each row of the columns, read as Python floats, formatted with `fmt`."""
+    return [fmt % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
 def response_csv(resp: FrequencyResponse) -> str:
     """CSV dump: frequency, Re/Im of S11 and S21, and dB magnitudes."""
     lines = ["frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"]
-    s11_db, s21_db = resp.s11_db(), resp.s21_db()
-    for i, f in enumerate(resp.frequencies):
-        lines.append(
-            f"{f:.10g},{resp.s11[i].real:.12g},{resp.s11[i].imag:.12g},"
-            f"{resp.s21[i].real:.12g},{resp.s21[i].imag:.12g},"
-            f"{s11_db[i]:.12g},{s21_db[i]:.12g}"
-        )
+    lines += _rows(_CSV_ROW, resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real,
+                   resp.s21.imag, resp.s11_db(), resp.s21_db())
     return "\n".join(lines) + "\n"
 
 
 def touchstone(resp: FrequencyResponse) -> str:
-    """Two-port Touchstone (v1) text, real/imaginary format.
+    """Two-port Touchstone text, real/imaginary format, rows S11 S21 S12 S22.
 
-    Touchstone v1 carries a single reference resistance; the source-port
-    value is written and an unequal load reference is noted in a comment.
+    Equal port references give a v1 file.  Touchstone v1 carries a single
+    reference resistance, so unequal ones give a v2.0 file whose
+    [Reference] line names both (IBIS Open Forum, Touchstone File Format
+    Specification v2.0).
     """
+    v2 = resp.z_load != resp.z_src
     lines = [f"# Hz S RI R {resp.z_src:.12g}"]
-    if resp.z_load != resp.z_src:
-        lines.append(f"! port 2 reference impedance: {resp.z_load:.12g} ohm")
-    for i, f in enumerate(resp.frequencies):
-        s11, s21, s12, s22 = resp.s11[i], resp.s21[i], resp.s12[i], resp.s22[i]
-        lines.append(
-            f"{f:.10g} {s11.real:.12g} {s11.imag:.12g} {s21.real:.12g} {s21.imag:.12g} "
-            f"{s12.real:.12g} {s12.imag:.12g} {s22.real:.12g} {s22.imag:.12g}"
-        )
+    if v2:
+        lines = ["[Version] 2.0", *lines, "[Number of Ports] 2", "[Two-Port Data Order] 21_12",
+                 f"[Number of Frequencies] {len(resp.frequencies)}",
+                 f"[Reference] {resp.z_src:.12g} {resp.z_load:.12g}", "[Network Data]"]
+    lines += _rows(_S2P_ROW, resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real,
+                   resp.s21.imag, resp.s12.real, resp.s12.imag, resp.s22.real, resp.s22.imag)
+    if v2:
+        lines.append("[End]")
     return "\n".join(lines) + "\n"

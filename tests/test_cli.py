@@ -48,6 +48,7 @@ class TestSubcommands:
         assert s2p.startswith("# Hz S RI R 50")
         doc = json.loads((out / "rf.json").read_text())
         assert 0 < doc["analysis"]["worst_s11"] <= 1
+        assert doc["analysis"]["passivity_residual"] < 1e-12  # lossless built-in path
 
     def test_layout_formats(self, tmp_path, capsys):
         code, out = run_cli(["layout", "--format", "both"], tmp_path)

@@ -174,6 +174,7 @@ _STAGES = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
 _LATERAL = [{"access": "lateral", "wire_pitch": "56um"}, {"access": "vertical", "wire_pitch": "400um"},
             {"access": "lateral", "wire_pitch": "100um"}]
 
+_SIDE_SWEEP = {"parameter": "layout.array_side_count", "start": 2, "stop": 4, "steps": 3}
 _WF_PATH = {"stage": "10mK", "material": "Al", "cross_section_area": "1um2", "length": "1mm",
             "t_hot": "3K", "residual_resistivity": 1e-10}
 
@@ -220,6 +221,8 @@ _BAD_INPUTS = [
     (("sweeps", 0, "start"), "1GHz", "sweep", "sweeps[0].start"),
     (("sweeps", 1, "stop"), "3K", "scale", "sweeps[1].stop"),
     (("cpw", "ground_width"), "50um", "impedance", "cpw.ground_width"),
+    # named the swept field, and only once `sweep` reached a non-integral point
+    (("sweeps", 0), _SIDE_SWEEP | {"steps": 4}, "scale", "sweeps[0].steps"),
 ]
 
 
@@ -245,6 +248,14 @@ def test_unknown_sweep_parameter_names_declaration(raw, tmp_path):
     code, err = _run_cli(raw, "sweep", tmp_path)
     assert code == 1
     assert err.startswith("error: sweeps[1].parameter: "), err
+
+
+def test_integral_sweep_of_an_integer_field(raw, tmp_path):
+    raw["sweeps"] = [_SIDE_SWEEP]
+    code, err = _run_cli(raw, "sweep", tmp_path)
+    assert code == 0, err
+    text = (tmp_path / "out/sweep_layout_array_side_count.csv").read_text(encoding="utf-8")
+    assert [row.split(",")[1] for row in text.splitlines()[1:]] == ["2", "3", "4"]
 
 
 def test_integral_float_reads_as_int(raw, catalog):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from densewire.rfnet import (
+    FrequencyResponse,
     IdealAttenuator,
     SeriesImpedance,
     ShuntAdmittance,
@@ -11,7 +13,6 @@ from densewire.rfnet import (
     UniformLine,
     cascade,
     crosstalk_split,
-    element_abcd,
     mismatch_report,
     response_csv,
     to_s_parameters,
@@ -25,51 +26,94 @@ def quarter_wave_frequency(line: UniformLine) -> float:
     return SPEED_OF_LIGHT / (4.0 * line.length * math.sqrt(line.eps_eff))
 
 
+def abcd(element, frequency: float) -> np.ndarray:
+    """2x2 ABCD matrix of one element at one frequency, through the public cascade."""
+    net = cascade([element], [frequency])
+    return matrix(net, 0)
+
+
+def matrix(net: TwoPortNetwork, i: int) -> np.ndarray:
+    return np.array([[net.A[i], net.B[i]], [net.C[i], net.D[i]]])
+
+
+def random_element(rng, kind: int):
+    if kind == 0:
+        return UniformLine(rng.uniform(5, 100), rng.uniform(1, 10), rng.uniform(0, 0.05))
+    if kind == 1:
+        return SeriesImpedance(rng.uniform(0, 5), rng.uniform(0, 5e-9))
+    if kind == 2:
+        return ShuntAdmittance(rng.uniform(0, 5e-12))
+    return IdealAttenuator(rng.uniform(0, 1), z_ref=rng.uniform(10, 100))
+
+
 class TestElementMatrices:
     def test_line_at_dc_is_identity(self):
-        m = element_abcd(UniformLine(24.0, 3.0, 0.02), 0.0)
+        m = abcd(UniformLine(24.0, 3.0, 0.02), 0.0)
         assert np.allclose(m, np.eye(2), atol=1e-15)
 
     def test_quarter_wave_closed_form(self):
         line = UniformLine(24.0, 3.0, 0.02)
-        m = element_abcd(line, quarter_wave_frequency(line))
+        m = abcd(line, quarter_wave_frequency(line))
         expected = np.array([[0.0, 24.0j], [1j / 24.0, 0.0]])
         assert np.allclose(m, expected, atol=1e-12)
 
     def test_series_resistor(self):
-        m = element_abcd(SeriesImpedance(1.0), 5e9)
+        m = abcd(SeriesImpedance(1.0), 5e9)
         assert np.allclose(m, [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
     def test_shunt_capacitor(self):
         f = 5e9
-        m = element_abcd(ShuntAdmittance(1e-12), f)
-        assert m[1, 0] == pytest.approx(1j * 2 * math.pi * f * 1e-12)
+        m = abcd(ShuntAdmittance(1e-12), f)
+        assert m[1, 0] == pytest.approx(1j * 2 * math.pi * f * 1e-12, rel=1e-15)
+
+    def test_attenuator(self):
+        gamma = 6.0 * math.log(10.0) / 20.0
+        m = abcd(IdealAttenuator(6.0, z_ref=75.0), 1e9)
+        expected = [[math.cosh(gamma), 75.0 * math.sinh(gamma)],
+                    [math.sinh(gamma) / 75.0, math.cosh(gamma)]]
+        assert np.allclose(m, expected, rtol=1e-15, atol=0)
 
 
 class TestCascade:
     def test_single_element_is_its_matrix(self):
-        line = UniformLine(24.0, 3.0, 0.02)
         f = np.array([1e9, 5e9])
-        net = cascade([line], f)
-        for i, freq in enumerate(f):
-            assert np.allclose(net.abcd[i], element_abcd(line, freq), atol=1e-15)
+        for element in (UniformLine(24.0, 3.0, 0.02), SeriesImpedance(1.0, 1e-9),
+                        ShuntAdmittance(1e-12), IdealAttenuator(3.0)):
+            net = cascade([element], f)
+            for i, freq in enumerate(f):
+                assert np.array_equal(matrix(net, i), abcd(element, freq))
 
     def test_two_quarter_waves_make_a_half_wave(self):
         line = UniformLine(24.0, 3.0, 0.02)
         fq = quarter_wave_frequency(line)
         net = cascade([line, line], [fq])
-        assert np.allclose(net.abcd[0], -np.eye(2), atol=1e-9)
+        assert np.allclose(matrix(net, 0), -np.eye(2), atol=1e-9)
+
+    @staticmethod
+    def assert_matches_brute_force(chain, freqs):
+        net = cascade(chain, freqs)
+        for k, f in enumerate(freqs):
+            oracle = brute_force_cascade([abcd(e, f).tolist() for e in chain])
+            got = matrix(net, k)
+            for i in range(2):
+                for j in range(2):
+                    assert abs(got[i, j] - oracle[i][j]) <= 1e-12 * max(1.0, abs(oracle[i][j]))
 
     def test_three_segment_chain_matches_brute_force(self):
-        f = 5e9
         chain = [UniformLine(24.0, 3.0, 0.004), UniformLine(14.0, 3.0, 0.006),
                  UniformLine(24.0, 3.0, 0.004)]
-        net = cascade(chain, [f])
-        oracle = brute_force_cascade([element_abcd(e, f).tolist() for e in chain])
-        for i in range(2):
-            for j in range(2):
-                assert abs(net.abcd[0, i, j] - oracle[i][j]) <= 1e-12 * max(
-                    1.0, abs(oracle[i][j]))
+        self.assert_matches_brute_force(chain, [5e9])
+
+    def test_mixed_chains_match_brute_force(self):
+        # Chains of every element kind, up to the 67 elements of the stress path.
+        rng = np.random.default_rng(11)
+        freqs = [0.0, 1e8, 1.3e9, 5e9, 10e9]
+        kinds_seen = set()
+        for n in (1, 2, 4, 8, 16, 33, 67, 67):
+            kinds = rng.integers(0, 4, n)
+            kinds_seen.update(kinds.tolist())
+            self.assert_matches_brute_force([random_element(rng, k) for k in kinds], freqs)
+        assert kinds_seen == {0, 1, 2, 3}
 
     def test_frequencies_must_increase(self):
         with pytest.raises(ValueError):
@@ -123,7 +167,7 @@ class TestSParameters:
             zs = rng.uniform(10, 100)
             zl = rng.uniform(10, 100)
             net = cascade(chain, freqs, z_src=zs, z_load=zl)
-            assert np.max(np.abs(net.determinants() - 1.0)) < 1e-9
+            assert np.max(np.abs(net.A * net.D - net.B * net.C - 1.0)) < 1e-9
             resp = to_s_parameters(net)
             power = np.abs(resp.s11) ** 2 + np.abs(resp.s21) ** 2
             assert np.max(np.abs(power - 1.0)) < 1e-6
@@ -166,6 +210,16 @@ class TestMismatchReport:
         f1 = first_minimum(0.02)
         f2 = first_minimum(0.01)
         assert f2 == pytest.approx(2 * f1, rel=2e-3)
+
+    def test_passivity_residual(self):
+        # A matched line and a series R between 50 ohm ports: S11 = R/(R+100)
+        # and S21 = 100/(R+100) at every frequency, so the residual is
+        # 1 - |S11|^2 - |S21|^2 = 200R/(R+100)^2.
+        lossy = mismatch_report(0.02, 50.0, 50.0, points=11, bond_resistance=1.0)
+        assert lossy.to_record()["passivity_residual"] == pytest.approx(200.0 / 101.0 ** 2,
+                                                                       rel=1e-12)
+        lossless = mismatch_report(0.02, 14.0, 50.0, points=1001, taper_length=0.01)
+        assert lossless.to_record()["passivity_residual"] < 1e-12
 
     def test_band_is_capped(self):
         with pytest.raises(ValueError):
@@ -225,4 +279,49 @@ class TestExports:
 
     def test_network_validation(self):
         with pytest.raises(ValueError):
-            TwoPortNetwork(np.array([-1.0, 1.0]), np.zeros((2, 2, 2), dtype=complex))
+            TwoPortNetwork(np.array([-1.0, 1.0]), *np.zeros((4, 2), dtype=complex))
+        with pytest.raises(ValueError):
+            TwoPortNetwork(np.array([0.0, 1.0]), *np.zeros((4, 2), dtype=complex), z_load=0.0)
+        with pytest.raises(ValueError):
+            TwoPortNetwork(np.array([0.0, 1.0]), *np.zeros((3, 2), dtype=complex),
+                           np.zeros(3, dtype=complex))
+
+
+# A hand-built response: a zero S11 (-inf dB), signed zeros, tiny and
+# repeating values.  The expected text pins the writers' number format.
+PINNED = FrequencyResponse(
+    frequencies=np.array([0.0, 1.5e9, 1e10 / 3]),
+    s11=np.array([0j, complex(-0.123456789012345, 3.2e-7), complex(0.5, -1 / 3)]),
+    s21=np.array([1 + 0j, complex(0.98765432109876, -0.1), complex(-2e-13, 0.75)]),
+    s12=np.array([1 + 0j, complex(0.98765432109876, -0.1), complex(-2e-13, 0.75)]),
+    s22=np.array([-0j, complex(1 / 7, 1e-20), complex(-0.25, 0.125)]))
+PINNED_ROWS = (
+    "0 0 0 1 0 1 0 -0 -0\n"
+    "1500000000 -0.123456789012 3.2e-07 0.987654321099 -0.1 0.987654321099 -0.1 "
+    "0.142857142857 1e-20\n"
+    "3333333333 0.5 -0.333333333333 -2e-13 0.75 -2e-13 0.75 -0.25 0.125\n")
+
+
+class TestPinnedText:
+    def test_csv_bytes(self):
+        assert response_csv(PINNED) == (
+            "frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n"
+            "0,0,0,1,0,-inf,0\n"
+            "1500000000,-0.123456789012,3.2e-07,0.987654321099,-0.1,-18.1697004557,"
+            "-0.0636053286233\n"
+            "3333333333,0.5,-0.333333333333,-2e-13,0.75,-4.4235914846,-2.49877473217\n")
+
+    def test_touchstone_v1_for_equal_references(self):
+        assert touchstone(PINNED) == "# Hz S RI R 50\n" + PINNED_ROWS
+
+    def test_touchstone_v2_for_unequal_references(self):
+        assert touchstone(dataclasses.replace(PINNED, z_load=75.0)) == (
+            "[Version] 2.0\n"
+            "# Hz S RI R 50\n"
+            "[Number of Ports] 2\n"
+            "[Two-Port Data Order] 21_12\n"
+            "[Number of Frequencies] 3\n"
+            "[Reference] 50 75\n"
+            "[Network Data]\n"
+            + PINNED_ROWS
+            + "[End]\n")
