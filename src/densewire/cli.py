@@ -208,7 +208,7 @@ def _cmd_layout(run: _Run, args) -> int:
     if args.format in ("json", "both"):
         run.write("layout.json", export_layout(layout, "json", config.layout))
     if args.format in ("svg", "both"):
-        run.write("layout.svg", export_layout(layout, "svg", config.layout, drc))
+        run.write("layout.svg", export_layout(layout, "svg", config.layout))
     run.write("drc.json", _json_text(run.report_doc({"findings": drc.to_records(),
                                                      "passed": drc.passed})))
     return 0

@@ -38,7 +38,7 @@ from .thermal import (
     controller_tech,
     default_stage_model,
 )
-from .units import build, flag, integer, listof, number, optional, pair, section, string
+from .units import build, flag, integer, listof, number, optional, pair, raw, section, string
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,6 @@ class DesignConfig:
         return None
 
 
-def _raw(value, where: str):
-    return value
-
-
 def _core_diameter(value, where: str):
     return value if value == "auto" else units.parse_length(value, where)
 
@@ -156,7 +152,7 @@ _SCHEMA = section(
             scale=optional(number), residual_resistivity=optional(number))))), {}),
     # Sweep end-points are read with the swept field's kind in _sweeps.
     sweeps=optional(listof(section(
-        parameter=string, start=_raw, stop=_raw, steps=integer(1)))),
+        parameter=string, start=raw, stop=raw, steps=integer(1)))),
     annotations=optional(listof(section(cable=string, kind=string, position=length))),
 )
 

@@ -2,20 +2,27 @@
 qubit array, design-rule checks, exports, and the bonding process plan.
 
 Coordinates are in meters with the origin at the array center; exports
-render in micrometers (SVG user unit = 1 um).  Generation and DRC are
-pure functions; findings are data, never exceptions.
+render in micrometers (SVG user unit = 1 um).  A layout is its grid: it
+stores the side count, pitch and channel cross-section, and every site is
+derived from one tuple of row/column offsets, so an n x n layout costs O(n)
+memory.  Generation and DRC are pure functions; findings are data, never
+exceptions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ConfigInvalid, UnsupportedFormat
 from .materials import MaterialCatalog, default_catalog
 from .tlines import PinStack, pin_outer_diameter
+from .units import integer, listof, number, optional, raw, section, string
 
 ERROR = "error"
 WARNING = "warning"
@@ -29,6 +36,8 @@ MIN_CHANNEL_ASPECT = 0.14          # width/depth demonstrated machinable
 BOND_PRESSURE_RANGE = (10.0, 20.0)  # N/mm^2, chip-compression bonding
 
 GRAVITY = 9.80665  # m/s^2, for gram-force conversion
+
+LAYOUT_FORMAT = 2  # the `format` key of layout.json
 
 
 @dataclass(frozen=True)
@@ -66,37 +75,79 @@ class Annotation:
     position: float  # distance along the cable from the pin row, meters
 
 
+class SiteGrid(Sequence):
+    """Read-only (x, y) sites of a grid, row by row with x fastest: site i
+    is (xs[i % len(xs)], ys[i // len(xs)]).  Only the two axes are stored."""
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs: tuple[float, ...], ys: tuple[float, ...]):
+        self.xs, self.ys = xs, ys
+
+    def __len__(self) -> int:
+        return len(self.xs) * len(self.ys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        row, col = divmod(range(len(self))[i], len(self.xs))
+        return (self.xs[col], self.ys[row])
+
+    def __iter__(self):
+        return ((x, y) for y in self.ys for x in self.xs)
+
+    def __eq__(self, other):
+        if isinstance(other, SiteGrid):
+            return (self.xs, self.ys) == (other.xs, other.ys)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class InterposerLayout:
-    pad_centers: tuple[tuple[float, float], ...]
-    hole_centers: tuple[tuple[float, float], ...]
-    channel_rows: tuple[tuple[float, float, float], ...]  # (y, width, depth)
-    ribbon_assignments: tuple[tuple[int, str], ...]       # (row index, cable id)
-    solder_ball_sites: tuple[tuple[float, float], ...]
+    """An n x n pad/hole grid at `pitch`, one channel and one ribbon cable
+    per row.  Holes are coaxial with the pads; solder balls sit on the
+    channel wall, `channel_width / 2` above each pad row."""
+
+    side_count: int
+    pitch: float
+    channel_width: float
+    channel_depth: float
     annotations: tuple[Annotation, ...] = ()
+
+    @cached_property
+    def offsets(self) -> tuple[float, ...]:
+        """Row and column centers: (i - (n - 1)/2) * pitch."""
+        n = self.side_count
+        return tuple((i - (n - 1) / 2.0) * self.pitch for i in range(n))
+
+    @cached_property
+    def pad_centers(self) -> SiteGrid:
+        return SiteGrid(self.offsets, self.offsets)
+
+    @property
+    def hole_centers(self) -> SiteGrid:
+        return self.pad_centers  # one-to-one, coaxial with the pads
+
+    @cached_property
+    def solder_ball_sites(self) -> SiteGrid:
+        return SiteGrid(self.offsets, tuple(y + self.channel_width / 2.0 for y in self.offsets))
+
+    @cached_property
+    def channel_rows(self) -> tuple[tuple[float, float, float], ...]:  # (y, width, depth)
+        return tuple((y, self.channel_width, self.channel_depth) for y in self.offsets)
+
+    @cached_property
+    def ribbon_assignments(self) -> tuple[tuple[int, str], ...]:  # (row index, cable id)
+        return tuple((row, f"cable-{row:03d}") for row in range(self.side_count))
 
 
 def generate_layout(cfg: LayoutConfig, annotations: tuple[Annotation, ...] = ()) -> InterposerLayout:
     """Square n x n pad/hole grid at the qubit pitch, one channel and one
     ribbon cable per row, solder-ball sites along each channel wall."""
-    n = cfg.array_side_count
-    offsets = [(i - (n - 1) / 2.0) * cfg.qubit_pitch for i in range(n)]
-    pads = []
-    balls = []
-    for y in offsets:
-        for x in offsets:
-            pads.append((x, y))
-            balls.append((x, y + cfg.channel_width / 2.0))
-    channels = tuple((y, cfg.channel_width, cfg.channel_depth) for y in offsets)
-    ribbons = tuple((row, f"cable-{row:03d}") for row in range(n))
-    return InterposerLayout(
-        pad_centers=tuple(pads),
-        hole_centers=tuple(pads),  # one-to-one, coaxial with the pads
-        channel_rows=channels,
-        ribbon_assignments=ribbons,
-        solder_ball_sites=tuple(balls),
-        annotations=tuple(annotations),
-    )
+    return InterposerLayout(cfg.array_side_count, cfg.qubit_pitch, cfg.channel_width,
+                            cfg.channel_depth, tuple(annotations))
 
 
 @dataclass(frozen=True)
@@ -104,7 +155,6 @@ class DrcFinding:
     rule: str
     severity: str
     message: str
-    indices: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -124,11 +174,8 @@ class DrcReport:
         return not self.findings
 
     def to_records(self) -> list[dict]:
-        return [
-            {"rule": f.rule, "severity": f.severity, "message": f.message,
-             "indices": list(f.indices)}
-            for f in self.findings
-        ]
+        return [{"rule": f.rule, "severity": f.severity, "message": f.message}
+                for f in self.findings]
 
 
 def _fmt_um(x: float) -> str:
@@ -136,15 +183,19 @@ def _fmt_um(x: float) -> str:
 
 
 def run_drc(layout: InterposerLayout, cfg: LayoutConfig, pin: PinStack) -> DrcReport:
-    """Evaluate the dimensional design rules; findings are sorted by rule id."""
+    """Evaluate the dimensional design rules; findings are sorted by rule id.
+
+    The pitch and channel rules read the layout's grid, the part rules
+    `cfg` and `pin`.
+    """
     findings: list[DrcFinding] = []
 
     # R1: the vertical wire footprint (hole) may not exceed the qubit cell.
-    if cfg.hole_diameter > cfg.qubit_pitch:
+    if cfg.hole_diameter > layout.pitch:
         findings.append(DrcFinding(
             "R1", ERROR,
             f"hole diameter {_fmt_um(cfg.hole_diameter)} exceeds qubit pitch "
-            f"{_fmt_um(cfg.qubit_pitch)}"))
+            f"{_fmt_um(layout.pitch)}"))
 
     # R2: finished pin diameter must mate the pad diameter.
     d_pin = pin_outer_diameter(pin)
@@ -163,7 +214,7 @@ def run_drc(layout: InterposerLayout, cfg: LayoutConfig, pin: PinStack) -> DrcRe
             f"[{_fmt_um(lo)}, {_fmt_um(hi)}] process envelope"))
 
     # R4: channel aspect ratio (width/depth) machinable by diamond turning.
-    aspect = cfg.channel_width / cfg.channel_depth
+    aspect = layout.channel_width / layout.channel_depth
     if aspect < MIN_CHANNEL_ASPECT:
         findings.append(DrcFinding(
             "R4", ERROR,
@@ -193,10 +244,10 @@ def run_drc(layout: InterposerLayout, cfg: LayoutConfig, pin: PinStack) -> DrcRe
             f"ground trace width {_fmt_um(cfg.ground_curb_width)}"))
 
     # R8: holes wider than their channel cannot sit inside its footprint.
-    if cfg.channel_width < cfg.hole_diameter:
+    if layout.channel_width < cfg.hole_diameter:
         findings.append(DrcFinding(
             "R8", WARNING,
-            f"channel width {_fmt_um(cfg.channel_width)} narrower than hole diameter "
+            f"channel width {_fmt_um(layout.channel_width)} narrower than hole diameter "
             f"{_fmt_um(cfg.hole_diameter)}; holes protrude from the channel floor"))
 
     # R9: pad thickness inside the plating envelope.
@@ -207,23 +258,7 @@ def run_drc(layout: InterposerLayout, cfg: LayoutConfig, pin: PinStack) -> DrcRe
             f"pad thickness {_fmt_um(cfg.pad_thickness)} outside the "
             f"[{_fmt_um(lo)}, {_fmt_um(hi)}] envelope"))
 
-    # Pad/hole correspondence of the generated geometry.
-    if len(layout.pad_centers) != len(layout.hole_centers):
-        findings.append(DrcFinding(
-            "R10", ERROR,
-            f"{len(layout.pad_centers)} pads vs {len(layout.hole_centers)} holes; "
-            "arrays must correspond one-to-one"))
-    else:
-        off = tuple(
-            i for i, (p, h) in enumerate(zip(layout.pad_centers, layout.hole_centers))
-            if not (math.isclose(p[0], h[0], rel_tol=0, abs_tol=1e-12)
-                    and math.isclose(p[1], h[1], rel_tol=0, abs_tol=1e-12))
-        )
-        if off:
-            findings.append(DrcFinding(
-                "R10", ERROR, "pads and holes are not coaxial", indices=off))
-
-    findings.sort(key=lambda f: (f.rule, f.indices))
+    findings.sort(key=lambda f: f.rule)
     return DrcReport(findings=tuple(findings))
 
 
@@ -245,119 +280,133 @@ def bonding_force(pressure_n_per_mm2: float, contact_diameter: float) -> BondFor
     return BondForce(newtons, newtons / GRAVITY * 1e3)
 
 
+def _columns(sites: SiteGrid) -> dict[str, list[float]]:
+    return {"x": list(sites.xs) * len(sites.ys), "y": [y for y in sites.ys for _ in sites.xs]}
+
+
 def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig | None = None) -> str:
-    """Full coordinate dump, meters; deterministic byte-for-byte."""
+    """The grid and its site coordinates as columns, meters; compact and
+    deterministic byte-for-byte.  Holes equal pads and are not written."""
     doc = {
+        "format": LAYOUT_FORMAT,
         "units": "m",
-        "pads": [[x, y] for x, y in layout.pad_centers],
-        "holes": [[x, y] for x, y in layout.hole_centers],
-        "channels": [{"y": y, "width": w, "depth": d} for y, w, d in layout.channel_rows],
-        "ribbons": {str(row): cable for row, cable in layout.ribbon_assignments},
-        "solder_balls": [[x, y] for x, y in layout.solder_ball_sites],
-        "annotations": [
-            {"cable": a.cable, "kind": a.kind, "position": a.position}
-            for a in layout.annotations
-        ],
+        "grid": {"side_count": layout.side_count, "pitch": layout.pitch,
+                 "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
+        "pads": _columns(layout.pad_centers),
+        "solder_balls": _columns(layout.solder_ball_sites),
+        "annotations": [dataclasses.asdict(a) for a in layout.annotations],
     }
     if cfg is not None:
-        doc["config"] = {
-            "qubit_pitch": cfg.qubit_pitch,
-            "array_side_count": cfg.array_side_count,
-            "pad_diameter": cfg.pad_diameter,
-            "hole_diameter": cfg.hole_diameter,
-            "channel_width": cfg.channel_width,
-            "channel_depth": cfg.channel_depth,
-            "pin_length": cfg.pin_length,
-            "pad_thickness": cfg.pad_thickness,
-            "tip_tolerance": cfg.tip_tolerance,
-            "ground_curb_width": cfg.ground_curb_width,
-            "solder_ball_diameter": cfg.solder_ball_diameter,
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["config"] = dataclasses.asdict(cfg)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _positive(value, where: str) -> float:
+    x = number(value, where)
+    if not x > 0:
+        raise ConfigInvalid(where, f"must be > 0, got {value!r}")
+    return x
+
+
+_SITE_COLUMNS = section(x=raw, y=raw)  # checked against the grid
+_LAYOUT_JSON = section(
+    format=integer(LAYOUT_FORMAT), units=string,
+    grid=section(side_count=integer(1), pitch=_positive, channel_width=_positive,
+                 channel_depth=_positive),
+    pads=_SITE_COLUMNS, solder_balls=_SITE_COLUMNS,
+    annotations=listof(section(cable=string, kind=string, position=number)),
+    config=optional(raw))
 
 
 def layout_from_json(text: str) -> InterposerLayout:
+    """Read a layout.json of format 2.
+
+    Raises ConfigInvalid naming the field when the format is not 2, a field
+    is missing or mistyped, or a coordinate column differs from the grid
+    that the `grid` section defines.
+    """
     doc = json.loads(text)
-    return InterposerLayout(
-        pad_centers=tuple((x, y) for x, y in doc["pads"]),
-        hole_centers=tuple((x, y) for x, y in doc["holes"]),
-        channel_rows=tuple((c["y"], c["width"], c["depth"]) for c in doc["channels"]),
-        ribbon_assignments=tuple(sorted((int(k), v) for k, v in doc["ribbons"].items())),
-        solder_ball_sites=tuple((x, y) for x, y in doc["solder_balls"]),
-        annotations=tuple(
-            Annotation(a["cable"], a["kind"], a["position"]) for a in doc["annotations"]
-        ),
-    )
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != LAYOUT_FORMAT:
+        raise ConfigInvalid("format", f"expected layout format {LAYOUT_FORMAT}, got {fmt!r}")
+    doc = _LAYOUT_JSON(doc, "")
+    if doc["units"] != "m":
+        raise ConfigInvalid("units", f"expected 'm', got {doc['units']!r}")
+    grid = doc["grid"]
+    layout = InterposerLayout(
+        grid["side_count"], grid["pitch"], grid["channel_width"], grid["channel_depth"],
+        tuple(Annotation(**a) for a in doc["annotations"]))
+    n = layout.side_count
+    for name in ("pads", "solder_balls"):  # lengths first: a large side_count builds nothing
+        for axis, got in doc[name].items():
+            if not isinstance(got, list) or len(got) != n * n:
+                raise ConfigInvalid(f"{name}.{axis}", f"expected a list of {n * n} numbers")
+    for name, sites in (("pads", layout.pad_centers), ("solder_balls", layout.solder_ball_sites)):
+        for axis, want in _columns(sites).items():
+            got = doc[name][axis]
+            if got != want:
+                i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+                raise ConfigInvalid(f"{name}.{axis}", f"entry {i} is {got[i]!r}, off the "
+                                    f"{n}x{n} grid, which puts it at {want[i]!r}")
+    return layout
 
 
 def _svg_um(x: float) -> str:
     return f"{x * 1e6:.3f}"
 
 
-def layout_to_svg(layout: InterposerLayout, cfg: LayoutConfig,
-                  drc: DrcReport | None = None) -> str:
-    """Top view, 1 SVG user unit = 1 um.  DRC findings with element indices
-    are highlighted; y points up (flipped via transform)."""
-    pitch = cfg.qubit_pitch
-    half = (cfg.array_side_count - 1) / 2.0 * pitch + pitch
+def layout_to_svg(layout: InterposerLayout, cfg: LayoutConfig) -> str:
+    """Top view, 1 SVG user unit = 1 um; y points up (flipped via transform).
+
+    Each site kind is one <symbol> in <defs>, placed at every site with
+    <use>: the pad and its coaxial hole as "site", the solder ball as "ball".
+    """
+    half = (layout.side_count - 1) / 2.0 * layout.pitch + layout.pitch
     lo, size = -half * 1e6, 2 * half * 1e6
+    w = layout.channel_width
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{lo:.3f} {lo:.3f} {size:.3f} {size:.3f}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" xmlns:xlink="http://www.w3.org/1999/xlink" '
+        f'viewBox="{lo:.3f} {lo:.3f} {size:.3f} {size:.3f}" '
         f'width="{size / 1000:.3f}mm" height="{size / 1000:.3f}mm">',
+        "<defs>",
+        '<symbol id="site" overflow="visible">'
+        f'<circle class="pad" r="{_svg_um(cfg.pad_diameter / 2)}" fill="#c0c0c0"/>'
+        f'<circle class="hole" r="{_svg_um(cfg.hole_diameter / 2)}" fill="none" '
+        'stroke="#334455" stroke-width="2"/></symbol>',
+        '<symbol id="ball" overflow="visible">'
+        f'<circle class="ball" r="{_svg_um(cfg.solder_ball_diameter / 2)}" fill="#8090a0"/>'
+        "</symbol>",
+        "</defs>",
         '<g transform="scale(1,-1)">',
     ]
-    for y, w, d in layout.channel_rows:
+    for y in layout.offsets:
         parts.append(
             f'<rect class="channel" x="{lo:.3f}" y="{_svg_um(y - w / 2)}" '
             f'width="{size:.3f}" height="{_svg_um(w)}" '
             f'fill="#dce6f0" stroke="#8899aa" stroke-width="1"/>'
         )
-    for row, cable in layout.ribbon_assignments:
-        y = layout.channel_rows[row][0]
+    for y in layout.offsets:
         parts.append(
             f'<line class="ribbon" x1="{lo:.3f}" y1="{_svg_um(y)}" x2="{lo + size:.3f}" '
             f'y2="{_svg_um(y)}" stroke="#aabbcc" stroke-width="2" stroke-dasharray="8 8"/>'
         )
-    for x, y in layout.pad_centers:
-        parts.append(
-            f'<circle class="pad" cx="{_svg_um(x)}" cy="{_svg_um(y)}" '
-            f'r="{_svg_um(cfg.pad_diameter / 2)}" fill="#c0c0c0"/>'
-        )
-    for x, y in layout.hole_centers:
-        parts.append(
-            f'<circle class="hole" cx="{_svg_um(x)}" cy="{_svg_um(y)}" '
-            f'r="{_svg_um(cfg.hole_diameter / 2)}" fill="none" stroke="#334455" stroke-width="2"/>'
-        )
-    for x, y in layout.solder_ball_sites:
-        parts.append(
-            f'<circle class="ball" cx="{_svg_um(x)}" cy="{_svg_um(y)}" '
-            f'r="{_svg_um(cfg.solder_ball_diameter / 2)}" fill="#8090a0"/>'
-        )
-    if drc is not None:
-        for f in drc.findings:
-            for i in f.indices:
-                if i < len(layout.hole_centers):
-                    x, y = layout.hole_centers[i]
-                    parts.append(
-                        f'<circle class="violation" cx="{_svg_um(x)}" cy="{_svg_um(y)}" '
-                        f'r="{_svg_um(cfg.hole_diameter)}" fill="none" stroke="#cc2222" '
-                        f'stroke-width="3"/>'
-                    )
-    parts.append("</g>")
-    parts.append("</svg>")
+    for symbol, sites in (("site", layout.pad_centers), ("ball", layout.solder_ball_sites)):
+        xs = [_svg_um(x) for x in sites.xs]
+        for y in map(_svg_um, sites.ys):
+            parts.extend(f'<use xlink:href="#{symbol}" x="{x}" y="{y}"/>' for x in xs)
+    parts += ["</g>", "</svg>"]
     return "\n".join(parts) + "\n"
 
 
-def export_layout(layout: InterposerLayout, fmt: str, cfg: LayoutConfig | None = None,
-                  drc: DrcReport | None = None) -> str:
+def export_layout(layout: InterposerLayout, fmt: str, cfg: LayoutConfig | None = None) -> str:
     """Serialize the layout; fmt is "json" or "svg" (svg requires cfg)."""
     if fmt == "json":
         return layout_to_json(layout, cfg)
     if fmt == "svg":
         if cfg is None:
             raise ValueError("svg export requires the layout config")
-        return layout_to_svg(layout, cfg, drc)
+        return layout_to_svg(layout, cfg)
     raise UnsupportedFormat(fmt)
 
 

@@ -250,44 +250,6 @@ def mismatch_report(pin_length: float, interposer_z: float, system_z: float,
     )
 
 
-@dataclass(frozen=True)
-class CrosstalkEstimate:
-    """Coarse odd/even-mode impedance split of adjacent covered CPW traces.
-
-    This is a rough proxy, not a field solution: coupling between shielded
-    lines decays evanescently with edge separation on the scale of the
-    cover height, splitting the line impedance by -/+ the coupling factor.
-    Treat the split ratio as a relative indicator only.
-    """
-
-    z_even: float
-    z_odd: float
-    split_ratio: float
-    note: str = "coarse estimate: odd/even impedance split proxy, not a field solution"
-
-
-def crosstalk_split(spec, trace_spacing: float) -> CrosstalkEstimate:
-    """Estimate the mode split of two neighboring traces at center spacing.
-
-    Requires a covered CpwSpec (the shielded ribbon case): the cover sets
-    the decay length of the inter-trace coupling.  A lower cover confines
-    the field harder and shrinks the split.
-    """
-    from .tlines import cpw_impedance
-
-    if not spec.covered:
-        raise ValueError("the mode-split proxy is defined for covered (shielded) CPW")
-    if trace_spacing <= spec.trace_width:
-        raise ValueError("trace_spacing must exceed the trace width")
-    z = cpw_impedance(spec)
-    edge_separation = trace_spacing - spec.trace_width
-    coupling = math.exp(-math.pi * edge_separation / (2.0 * spec.cover_height))
-    z_even = z * (1.0 + coupling)
-    z_odd = z * (1.0 - coupling)
-    split = (z_even - z_odd) / (0.5 * (z_even + z_odd))
-    return CrosstalkEstimate(z_even=z_even, z_odd=z_odd, split_ratio=split)
-
-
 # A single `%` per row formats faster than an f-string of seven or nine
 # fields, and "%.12g" % x == f"{x:.12g}" for every float.
 _CSV_ROW = "%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g"

@@ -118,22 +118,6 @@ def _k_ratio(k: float) -> float:
     return complete_elliptic_k(k) / complete_elliptic_k(kp)
 
 
-def mixed_permittivity(components) -> float:
-    """Volume-weighted effective permittivity of a composite fill.
-
-    `components` is an iterable of (eps_r, volume_fraction); fractions must
-    sum to 1.  First-order rule for e.g. an epoxy fill with spacer inserts
-    and a thin resist sleeve.
-    """
-    components = list(components)
-    total = sum(f for _, f in components)
-    if not math.isclose(total, 1.0, rel_tol=1e-9):
-        raise ValueError(f"volume fractions must sum to 1, got {total}")
-    if any(e < 1.0 or f < 0.0 for e, f in components):
-        raise ValueError("permittivities must be >= 1 and fractions >= 0")
-    return sum(e * f for e, f in components)
-
-
 def coax_impedance(spec: CoaxSpec) -> float:
     """Characteristic impedance of a coaxial line, ohms."""
     return (ETA0_OVER_2PI / math.sqrt(spec.eps_r)) * math.log(

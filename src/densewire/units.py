@@ -139,6 +139,11 @@ def integer(minimum: int):
     return read
 
 
+def raw(value, where: str):
+    """Any JSON value, unchecked here; its reader checks it later."""
+    return value
+
+
 def flag(value, where: str) -> bool:
     """JSON true or false."""
     if not isinstance(value, bool):

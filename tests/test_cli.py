@@ -55,7 +55,9 @@ class TestSubcommands:
         assert code == 0
         assert (out / "layout.svg").exists()
         layout = json.loads((out / "layout.json").read_text())
-        assert len(layout["holes"]) == 400
+        assert layout["format"] == 2
+        assert len(layout["pads"]["x"]) == 400
+        assert "holes" not in layout
         drc = json.loads((out / "drc.json").read_text())
         assert drc["analysis"]["passed"] is True
         assert "DRC clean" in capsys.readouterr().out

@@ -1,7 +1,10 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from densewire.errors import ConfigInvalid, UnsupportedFormat
@@ -37,8 +40,26 @@ NOMINAL = LayoutConfig(
 NOMINAL_PIN = PinStack(178e-6, (("TiN", 1e-6), ("In", 10e-6)))
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
+
+
 def mutate(**kwargs) -> LayoutConfig:
     return dataclasses.replace(NOMINAL, **kwargs)
+
+
+def tuple_grid(cfg: LayoutConfig):
+    """Pads and balls as lists of (x, y), built the way the tuple-of-tuples
+    layout built them: row by row, x fastest, balls channel_width/2 above."""
+    n = cfg.array_side_count
+    offsets = [(i - (n - 1) / 2.0) * cfg.qubit_pitch for i in range(n)]
+    pads = [(x, y) for y in offsets for x in offsets]
+    balls = [(x, y + cfg.channel_width / 2.0) for y in offsets for x in offsets]
+    return pads, balls
+
+
+def bits(points) -> bytes:
+    return np.asarray(points, float).tobytes()
 
 
 class TestGeneration:
@@ -59,6 +80,49 @@ class TestGeneration:
         layout = generate_layout(cfg)
         assert len(layout.hole_centers) == 160000
         assert cfg.array_side_count * cfg.qubit_pitch == pytest.approx(200e-3, rel=1e-12)
+
+    def test_full_chip_grid_is_the_tuple_grid_bit_for_bit(self):
+        cfg = mutate(array_side_count=400)
+        layout = generate_layout(cfg)
+        pads, balls = tuple_grid(cfg)
+        assert np.asarray(layout.pad_centers, float).shape == (160000, 2)
+        assert bits(layout.pad_centers) == bits(pads)
+        assert layout.hole_centers is layout.pad_centers
+        assert bits(layout.solder_ball_sites) == bits(balls)
+        assert {len(layout.pad_centers), len(layout.hole_centers),
+                len(layout.solder_ball_sites)} == {160000}
+        back = layout_from_json(layout_to_json(layout, cfg))
+        assert bits(back.pad_centers) == bits(back.hole_centers) == bits(pads)
+
+    def test_balls_sit_half_a_channel_above_the_pads(self):
+        layout = generate_layout(NOMINAL)
+        for (px, py), (bx, by) in zip(layout.pad_centers, layout.solder_ball_sites):
+            assert bx == px
+            assert by - py == pytest.approx(NOMINAL.channel_width / 2, rel=1e-12)
+
+    def test_sides_of_100k_materialise_no_sites(self):
+        tracemalloc.start()
+        try:
+            layout = generate_layout(mutate(array_side_count=100_000))
+            sizes = {len(layout.pad_centers), len(layout.hole_centers),
+                     len(layout.solder_ball_sites)}
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sizes == {10**10}
+        assert peak < 20e6  # the axes only: 2 x 100k floats
+        last = layout.offsets[-1]
+        assert layout.pad_centers[-1] == (last, last)
+        assert layout.pad_centers[10**10 - 100_000] == (layout.offsets[0], last)
+
+    def test_site_indexing(self):
+        pads = generate_layout(NOMINAL).pad_centers
+        assert pads[4] == (0.0, 0.0)
+        assert pads[-1] == pads[8] == (500e-6, 500e-6)
+        assert pads[1:3] == ((0.0, -500e-6), (500e-6, -500e-6))
+        assert list(pads) == [pads[i] for i in range(9)]
+        with pytest.raises(IndexError):
+            pads[9]
 
     def test_pads_and_holes_correspond(self):
         layout = generate_layout(mutate(array_side_count=5))
@@ -140,27 +204,6 @@ class TestDrc:
         report = run_drc(generate_layout(cfg), cfg, NOMINAL_PIN)
         assert any(f.rule == "R9" and f.severity == "warning" for f in report.findings)
 
-    def test_r10_broken_correspondence(self):
-        layout = generate_layout(NOMINAL)
-        holes = list(layout.hole_centers)
-        holes[4] = (holes[4][0] + 1e-6, holes[4][1])
-        broken = dataclasses.replace(layout, hole_centers=tuple(holes))
-        report = run_drc(broken, NOMINAL, NOMINAL_PIN)
-        offenders = [f for f in report.findings if f.rule == "R10"]
-        assert offenders and offenders[0].indices == (4,)
-
-    def test_order_independent(self):
-        layout = generate_layout(NOMINAL)
-        perm = list(range(9))[::-1]
-        shuffled = dataclasses.replace(
-            layout,
-            pad_centers=tuple(layout.pad_centers[i] for i in perm),
-            hole_centers=tuple(layout.hole_centers[i] for i in perm),
-        )
-        a = run_drc(layout, NOMINAL, NOMINAL_PIN)
-        b = run_drc(shuffled, NOMINAL, NOMINAL_PIN)
-        assert a == b
-
     def test_deterministic(self):
         cfg = mutate(hole_diameter=600e-6, tip_tolerance=5e-6, pin_length=30e-3)
         a = run_drc(generate_layout(cfg), cfg, NOMINAL_PIN)
@@ -200,30 +243,103 @@ class TestExports:
         root = ET.fromstring(svg)
         holes = [e for e in root.iter() if e.get("class") == "hole"]
         assert len(holes) == 1
+        uses = [e.get(XLINK_HREF) for e in root.iter(f"{SVG}use")]
+        assert uses == ["#site", "#ball"]
 
     def test_svg_counts_match_layout(self):
         svg = export_layout(generate_layout(NOMINAL), "svg", NOMINAL)
         root = ET.fromstring(svg)  # well-formed XML or this raises
+        uses = [e.get(XLINK_HREF) for e in root.iter(f"{SVG}use")]
+        assert uses.count("#site") == 9
+        assert uses.count("#ball") == 9
+        assert len(uses) == 18
         classes = [e.get("class") for e in root.iter() if e.get("class")]
-        assert classes.count("pad") == 9
-        assert classes.count("hole") == 9
         assert classes.count("channel") == 3
         assert classes.count("ribbon") == 3
-        assert classes.count("ball") == 9
 
-    def test_svg_highlights_violations(self):
+    def test_svg_symbols_resolve(self):
+        root = ET.fromstring(export_layout(generate_layout(NOMINAL), "svg", NOMINAL))
+        symbols = {s.get("id"): s for s in root.iter(f"{SVG}symbol")}
+        assert sorted(symbols) == ["ball", "site"]
+        assert [c.get("class") for c in symbols["site"]] == ["pad", "hole"]
+        assert [c.get("class") for c in symbols["ball"]] == ["ball"]
+        assert all(s.get("overflow") == "visible" for s in symbols.values())
+        uses = list(root.iter(f"{SVG}use"))
+        sites = sorted((float(u.get("x")), float(u.get("y"))) for u in uses
+                       if u.get(XLINK_HREF) == "#site")
         layout = generate_layout(NOMINAL)
-        holes = list(layout.hole_centers)
-        holes[0] = (holes[0][0] + 1e-6, holes[0][1])
-        broken = dataclasses.replace(layout, hole_centers=tuple(holes))
-        report = run_drc(broken, NOMINAL, NOMINAL_PIN)
-        svg = export_layout(broken, "svg", NOMINAL, report)
-        root = ET.fromstring(svg)
-        assert any(e.get("class") == "violation" for e in root.iter())
+        assert sites == sorted((round(x * 1e6, 3), round(y * 1e6, 3))
+                               for x, y in layout.pad_centers)
+
+    def test_json_is_compact_and_columnar(self):
+        text = layout_to_json(generate_layout(NOMINAL), NOMINAL)
+        assert "\n" not in text.rstrip("\n") and ", " not in text
+        doc = json.loads(text)
+        assert doc["format"] == 2 and "holes" not in doc
+        assert doc["grid"] == {"side_count": 3, "pitch": 500e-6, "channel_width": 300e-6,
+                               "channel_depth": 1e-3}
+        assert doc["pads"]["x"] == [-500e-6, 0.0, 500e-6] * 3
+        assert doc["pads"]["y"] == [-500e-6] * 3 + [0.0] * 3 + [500e-6] * 3
+        assert doc["solder_balls"]["x"] == doc["pads"]["x"]
 
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormat):
             export_layout(generate_layout(NOMINAL), "dxf", NOMINAL)
+
+
+def _move_pad(doc):
+    doc["pads"]["x"][4] += 1e-6
+
+
+def _move_ball(doc):
+    doc["solder_balls"]["y"][4] += 1e-6
+
+
+def _format_1(doc):
+    doc["format"] = 1
+
+
+def _drop_grid(doc):
+    del doc["grid"]
+
+
+def _zero_pitch(doc):
+    doc["grid"]["pitch"] = 0
+
+
+def _short_column(doc):
+    doc["pads"]["y"].pop()
+
+
+def _metres_as_mm(doc):
+    doc["units"] = "mm"
+
+
+def _huge_side(doc):
+    doc["grid"]["side_count"] = 10**9  # rejected on column length, before any site is built
+
+
+class TestReader:
+    @pytest.mark.parametrize("damage, field", [
+        (_move_pad, "pads.x"),
+        (_move_ball, "solder_balls.y"),
+        (_format_1, "format"),
+        (_drop_grid, "grid"),
+        (_zero_pitch, "grid.pitch"),
+        (_short_column, "pads.y"),
+        (_metres_as_mm, "units"),
+        (_huge_side, "pads.x"),
+    ])
+    def test_rejects_naming_the_field(self, damage, field):
+        doc = json.loads(layout_to_json(generate_layout(NOMINAL), NOMINAL))
+        damage(doc)
+        with pytest.raises(ConfigInvalid) as exc:
+            layout_from_json(json.dumps(doc))
+        assert exc.value.field == field
+
+    def test_reads_without_config(self):
+        layout = generate_layout(NOMINAL)
+        assert layout_from_json(layout_to_json(layout)) == layout
 
 
 class TestProcessChecklist:

@@ -12,13 +12,12 @@ from densewire.rfnet import (
     TwoPortNetwork,
     UniformLine,
     cascade,
-    crosstalk_split,
     mismatch_report,
     response_csv,
     to_s_parameters,
     touchstone,
 )
-from densewire.tlines import SPEED_OF_LIGHT, CpwSpec
+from densewire.tlines import SPEED_OF_LIGHT
 from oracles import brute_force_cascade, line_two_step_s11, line_two_step_s21
 
 
@@ -235,26 +234,6 @@ class TestMismatchReport:
         tapered = mismatch_report(0.02, 14.0, 50.0, (0.0, 2e9), points=401,
                                   taper_length=0.01, taper_segments=16)
         assert tapered.worst_s11 < plain.worst_s11
-
-
-class TestCrosstalkProxy:
-    def test_split_decreases_with_spacing(self):
-        spec = CpwSpec(10e-6, 6e-6, 3.4, covered=True, cover_height=20e-6)
-        near = crosstalk_split(spec, 30e-6)
-        far = crosstalk_split(spec, 200e-6)
-        assert near.split_ratio > far.split_ratio
-        assert far.split_ratio < 1e-4
-        assert "estimate" in near.note
-
-    def test_lower_cover_shields_better(self):
-        tight = CpwSpec(10e-6, 6e-6, 3.4, covered=True, cover_height=10e-6)
-        loose = CpwSpec(10e-6, 6e-6, 3.4, covered=True, cover_height=40e-6)
-        assert crosstalk_split(tight, 72e-6).split_ratio < crosstalk_split(
-            loose, 72e-6).split_ratio
-
-    def test_requires_cover(self):
-        with pytest.raises(ValueError):
-            crosstalk_split(CpwSpec(10e-6, 6e-6, 3.4), 72e-6)
 
 
 class TestExports:

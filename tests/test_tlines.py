@@ -15,7 +15,6 @@ from densewire.tlines import (
     cpw_effective_permittivity,
     cpw_impedance,
     line_propagation,
-    mixed_permittivity,
     pin_outer_diameter,
 )
 from oracles import elliptic_k_quadrature
@@ -149,19 +148,6 @@ class TestCpw:
             CpwSpec(0.0, 6e-6, 11.45)
         with pytest.raises(DegenerateGeometry):
             CpwSpec(10e-6, 6e-6, 11.45, covered=True)
-
-
-class TestMixedPermittivity:
-    def test_pure_fill_is_identity(self):
-        assert mixed_permittivity([(3.0, 1.0)]) == pytest.approx(3.0)
-
-    def test_epoxy_with_spacers(self):
-        # 80% epoxy (3.0) + 20% PTFE spacers (2.1)
-        assert mixed_permittivity([(3.0, 0.8), (2.1, 0.2)]) == pytest.approx(2.82)
-
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            mixed_permittivity([(3.0, 0.5), (2.1, 0.2)])
 
 
 class TestPropagation:
