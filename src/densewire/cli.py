@@ -17,11 +17,9 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import DesignConfig, load_design_config, parse_design_config, set_parameter
-from .errors import ConfigInvalid, DensewireError, UnknownParameter
+from .errors import ConfigInvalid, DensewireError
 from .golden import golden_rows
 from .layout import export_layout, generate_layout, run_drc
 from .materials import MaterialCatalog, default_catalog, load_catalog
@@ -62,7 +60,6 @@ class _Run:
 
     def __init__(self, args):
         self.out_dir = Path(args.out)
-        self.seed = args.seed
         materials_path = args.materials or os.environ.get(ENV_MATERIALS)
         self.catalog: MaterialCatalog = (
             load_catalog(materials_path) if materials_path else default_catalog()
@@ -85,7 +82,6 @@ class _Run:
             "tool": "densewire",
             "version": __version__,
             "config_sha256": self.config_sha256,
-            "seed": self.seed,
             "analysis": analysis,
             "warnings": [],
         }
@@ -141,8 +137,7 @@ def _impedance_record(config: DesignConfig) -> dict:
         },
         "pin_outer_diameter_m": pin_outer_diameter(config.pin_stack),
     }
-    f_top = config.rf.band[1]
-    v, lam = line_propagation(coax, f_top if f_top > 0 else 10e9)
+    v, lam = line_propagation(coax, config.rf.band[1])
     record["coax"]["phase_velocity_m_per_s"] = v
     record["coax"]["wavelength_at_band_top_m"] = lam
     if config.cpw is not None:
@@ -178,12 +173,8 @@ def _cmd_rf(run: _Run, args) -> int:
     interposer_z = coax_impedance(config.coax)
     feed_eps = (cpw_effective_permittivity(config.cpw) if config.cpw is not None
                 else config.coax.eps_r)
-    report = mismatch_report(
-        config.layout.pin_length, interposer_z, rf.system_impedance, rf.band,
-        points=rf.points, pin_eps_eff=config.coax.eps_r,
-        feed_length=rf.feed_length, feed_eps_eff=feed_eps,
-        taper_length=rf.taper_length, taper_segments=rf.taper_segments,
-        bond_resistance=rf.bond_resistance, bond_inductance=rf.bond_inductance)
+    report = mismatch_report(rf, config.layout.pin_length, interposer_z,
+                             pin_eps_eff=config.coax.eps_r, feed_eps_eff=feed_eps)
     print(f"path: {len(report.elements)} elements, pin Z={interposer_z:.4g} ohm in a "
           f"{rf.system_impedance:g} ohm system")
     print(f"worst |S11| = {report.worst_s11:.6g} at "
@@ -280,15 +271,10 @@ def _sweep_row(config: DesignConfig, parameter: str, value: float) -> dict:
 
 def sweep_csv(run: _Run, decl) -> str:
     """One CSV per sweep declaration: a row of standard outputs per point."""
-    if decl.steps == 1:
-        values = [decl.start]
-    else:
-        values = list(np.linspace(decl.start, decl.stop, decl.steps))
     lines = [",".join(_SWEEP_COLUMNS)]
-    for v in values:
-        raw = set_parameter(run.config.raw, decl.parameter, float(v))
-        cfg = parse_design_config(raw, run.catalog)
-        row = _sweep_row(cfg, decl.parameter, float(v))
+    for v in decl.points:
+        cfg = parse_design_config(set_parameter(run.config.raw, decl.parameter, v), run.catalog)
+        row = _sweep_row(cfg, decl.parameter, v)
         lines.append(",".join(_fmt_cell(row[c]) for c in _SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
@@ -296,13 +282,9 @@ def sweep_csv(run: _Run, decl) -> str:
 def _cmd_sweep(run: _Run, args) -> int:
     if not run.config.sweeps:
         raise ConfigInvalid("sweeps", "no sweep declarations in the config")
-    for i, decl in enumerate(run.config.sweeps):
-        try:
-            text = sweep_csv(run, decl)
-        except UnknownParameter as exc:
-            raise ConfigInvalid(f"sweeps[{i}].parameter", str(exc)) from None
+    for decl in run.config.sweeps:
         slug = decl.parameter.replace(".", "_")
-        path = run.write(f"sweep_{slug}.csv", text)
+        path = run.write(f"sweep_{slug}.csv", sweep_csv(run, decl))
         print(f"{decl.parameter}: {decl.steps} points -> {path}")
     return 0
 
@@ -329,8 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="design config JSON (default: built-in design point)")
     parser.add_argument("--materials", help=f"material catalog JSON (or ${ENV_MATERIALS})")
     parser.add_argument("--out", default=".", help="artifact output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in reports (analyses are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scale", help="wiring scalability reports")
@@ -365,7 +345,7 @@ def main(argv=None) -> int:
     try:
         run = _Run(args)
         return args.func(run, args)
-    except (ConfigInvalid, UnknownParameter) as exc:
+    except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DensewireError, OSError) as exc:

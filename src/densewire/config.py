@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import units
-from .errors import ConfigInvalid, UnknownParameter
+from .errors import ConfigInvalid
 from .layout import Annotation, LayoutConfig
 from .materials import MaterialCatalog, default_catalog
-from .rfnet import MAX_BAND_HZ
+from .rfnet import RfSettings
 from .scaling import BondWireGeometry, QubitArraySpec, WiringArchitecture, wire_pitch_from_bonds
 from .tlines import CoaxSpec, CpwSpec, PinStack, pin_outer_diameter
 from .thermal import (
@@ -42,33 +42,12 @@ from .units import build, flag, integer, listof, number, optional, pair, raw, se
 
 
 @dataclass(frozen=True)
-class RfSettings:
-    band: tuple[float, float] = (0.0, 10e9)
-    points: int = 1001
-    system_impedance: float = 50.0
-    feed_length: float = 0.0
-    taper_length: float = 0.0
-    taper_segments: int = 16
-    bond_resistance: float = 0.0
-    bond_inductance: float = 0.0
-
-    def __post_init__(self):
-        f_lo, f_hi = self.band
-        if not 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9):
-            raise ValueError(f"band must satisfy 0 <= f_lo < f_hi <= {MAX_BAND_HZ:.0e} Hz")
-        if self.system_impedance <= 0:
-            raise ValueError("system_impedance must be > 0")
-        if min(self.feed_length, self.taper_length, self.bond_resistance,
-               self.bond_inductance) < 0:
-            raise ValueError("lengths, bond_resistance and bond_inductance must be >= 0")
-
-
-@dataclass(frozen=True)
 class SweepDecl:
     parameter: str
     start: float
     stop: float
     steps: int
+    points: tuple[float, ...]  # the swept values, start to stop
 
 
 @dataclass(frozen=True)
@@ -197,20 +176,31 @@ def _thermal(doc: dict, stages: StageModel, cat: MaterialCatalog) -> ThermalArch
     return ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))
 
 
-def _sweeps(entries: tuple[dict, ...]) -> tuple[SweepDecl, ...]:
+def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
+    """Each sweep's path must name a numeric field that this config sets."""
     out = []
     for i, d in enumerate(entries):
-        where, kind = f"sweeps[{i}]", _SCHEMA
+        where, kind, node = f"sweeps[{i}]", _SCHEMA, raw
         for key in d["parameter"].split("."):
             kind = getattr(kind, "child", lambda _: None)(key)
             if kind is None:
                 raise ConfigInvalid(f"{where}.parameter", f"no config field {d['parameter']!r}")
+            try:  # the schema has read `raw`, so a list here is indexed by a decimal key
+                node = node[int(key) if isinstance(node, list) else key]
+            except (IndexError, KeyError):
+                raise ConfigInvalid(f"{where}.parameter",
+                                    f"{d['parameter']!r} is not set in this config") from None
         for end in ("start", "stop"):
             d[end] = kind(d[end], f"{where}.{end}")
             if type(d[end]) not in (int, float):  # a flag, string or section
                 raise ConfigInvalid(f"{where}.{end}", f"{d['parameter']} is not a numeric field")
+        try:
+            d["points"] = tuple(np.linspace(d["start"], d["stop"], d["steps"]).tolist())
+        except MemoryError:
+            raise ConfigInvalid(f"{where}.steps",
+                                f"{d['steps']} points do not fit in memory") from None
         if type(d["start"]) is int and any(  # an integer field takes integral points only
-                not float(v).is_integer() for v in np.linspace(d["start"], d["stop"], d["steps"])):
+                not v.is_integer() for v in d["points"]):
             raise ConfigInvalid(f"{where}.steps", f"{d['steps']} steps from {d['start']} to "
                                 f"{d['stop']} give non-integral points of integer field "
                                 f"{d['parameter']}")
@@ -273,7 +263,7 @@ def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> De
         rf=build(RfSettings, "rf", **doc["rf"]),
         stages=stages,
         thermal=_thermal(doc["thermal"], stages, cat),
-        sweeps=_sweeps(doc.get("sweeps", ())),
+        sweeps=_sweeps(doc.get("sweeps", ()), raw),
         annotations=tuple(Annotation(**a) for a in doc.get("annotations", ())),
         interposer_dielectric=dielectric,
         pin_hole_clearance=clearance,
@@ -293,30 +283,13 @@ def load_design_config(path: str | Path, catalog: MaterialCatalog | None = None)
 def set_parameter(raw: dict, path: str, value: float) -> dict:
     """Copy `raw` with the dotted `path` set to `value` (SI units).
 
-    Integer segments index into lists; the addressed field must already
-    exist so typos fail loudly.
+    Integer segments index into lists.  `path` is a sweep parameter, which
+    parsing has already checked names a field set in `raw`.
     """
     out = copy.deepcopy(raw)
+    *parents, last = (int(seg) if seg.isdecimal() else seg for seg in path.split("."))
     node = out
-    segments = path.split(".")
-    for i, seg in enumerate(segments):
-        last = i == len(segments) - 1
-        if isinstance(node, list):
-            try:
-                idx = int(seg)
-                if last:
-                    node[idx] = value
-                    return out
-                node = node[idx]
-            except (ValueError, IndexError):
-                raise UnknownParameter(path) from None
-        elif isinstance(node, dict):
-            if seg not in node:
-                raise UnknownParameter(path)
-            if last:
-                node[seg] = value
-                return out
-            node = node[seg]
-        else:
-            raise UnknownParameter(path)
-    raise UnknownParameter(path)
+    for seg in parents:
+        node = node[seg]
+    node[last] = value
+    return out

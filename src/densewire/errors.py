@@ -43,8 +43,3 @@ class UnsupportedFormat(DensewireError):
         super().__init__(f"unsupported export format: {fmt!r}")
         self.format = fmt
 
-
-class UnknownParameter(DensewireError):
-    def __init__(self, path: str):
-        super().__init__(f"unknown sweep parameter path: {path!r}")
-        self.path = path

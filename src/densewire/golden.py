@@ -12,7 +12,7 @@ reported as computed rather than fudged to match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .layout import (
     CONICAL,
@@ -229,11 +229,7 @@ def golden_rows(catalog: MaterialCatalog) -> list[GoldenRow]:
         is_superconducting(catalog.lookup("Nb"), 0.01)))
 
     # Layout of the full chip and the nominal design rules.
-    full = LayoutConfig(
-        qubit_pitch=500e-6, array_side_count=400, pad_diameter=200e-6,
-        hole_diameter=300e-6, channel_width=300e-6, channel_depth=1e-3,
-        pin_length=20e-3, pad_thickness=10e-6, tip_tolerance=2.5e-6,
-        ground_curb_width=50e-6)
+    full = replace(NOMINAL_LAYOUT, array_side_count=400)
     full_layout = generate_layout(full)
     rows.append(_int_row(
         "layout-full-chip-sites", "pad/hole sites on the 200mm chip",

@@ -166,10 +166,6 @@ class DrcReport:
         return tuple(f for f in self.findings if f.severity == ERROR)
 
     @property
-    def warnings(self) -> tuple[DrcFinding, ...]:
-        return tuple(f for f in self.findings if f.severity == WARNING)
-
-    @property
     def passed(self) -> bool:
         return not self.findings
 

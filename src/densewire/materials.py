@@ -71,9 +71,6 @@ class MaterialCatalog:
     def __contains__(self, name: str) -> bool:
         return self.aliases.get(name, name) in self.entries
 
-    def names(self) -> list[str]:
-        return sorted(self.entries)
-
 
 REQUIRED_MATERIALS = (
     "Al", "Nb", "In", "TiN", "Sn-Pb", "Nb-Ti", "SUS-304", "OFHC-Cu",

@@ -197,48 +197,66 @@ class MismatchReport:
 MAX_BAND_HZ = 10e9  # the interconnect is specified DC to ~10 GHz
 
 
-def build_signal_path(pin_length: float, interposer_z: float, system_z: float, *,
-                      pin_eps_eff: float = 3.0, feed_length: float = 0.0,
-                      feed_eps_eff: float = 3.0, taper_length: float = 0.0,
-                      taper_segments: int = 16, bond_resistance: float = 0.0,
-                      bond_inductance: float = 0.0) -> list:
+@dataclass(frozen=True)
+class RfSettings:
+    """The swept band and the signal path's feed, taper and bond."""
+
+    band: tuple[float, float] = (0.0, 10e9)
+    points: int = 1001
+    system_impedance: float = 50.0
+    feed_length: float = 0.0
+    taper_length: float = 0.0
+    taper_segments: int = 16
+    bond_resistance: float = 0.0
+    bond_inductance: float = 0.0
+
+    def __post_init__(self):
+        f_lo, f_hi = self.band
+        if not 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9):
+            raise ValueError(f"band must satisfy 0 <= f_lo < f_hi <= {MAX_BAND_HZ:.0e} Hz")
+        if self.points < 2:
+            raise ValueError("points must be >= 2")
+        if self.taper_segments < 1:
+            raise ValueError("taper_segments must be >= 1")
+        if self.system_impedance <= 0:
+            raise ValueError("system_impedance must be > 0")
+        if min(self.feed_length, self.taper_length, self.bond_resistance,
+               self.bond_inductance) < 0:
+            raise ValueError("lengths, bond_resistance and bond_inductance must be >= 0")
+
+
+def build_signal_path(rf: RfSettings, pin_length: float, interposer_z: float, *,
+                      pin_eps_eff: float, feed_eps_eff: float) -> list:
     """Element chain for the default signal path, source side first.
 
     Zero-length sections contribute identity matrices and drop out.  The
     taper is a geometric impedance ladder of uniform sub-segments, the
     standard first-order treatment of a smooth transition.
     """
+    system_z, n = rf.system_impedance, rf.taper_segments
     elements: list[NetworkElement] = []
-    if feed_length > 0:
-        elements.append(UniformLine(system_z, feed_eps_eff, feed_length, label="cpw-feed"))
-    if taper_length > 0 and taper_segments > 0:
-        seg_len = taper_length / taper_segments
-        for i in range(taper_segments):
-            zi = system_z * (interposer_z / system_z) ** ((i + 0.5) / taper_segments)
+    if rf.feed_length > 0:
+        elements.append(UniformLine(system_z, feed_eps_eff, rf.feed_length, label="cpw-feed"))
+    if rf.taper_length > 0:
+        seg_len = rf.taper_length / n
+        for i in range(n):
+            zi = system_z * (interposer_z / system_z) ** ((i + 0.5) / n)
             elements.append(UniformLine(zi, feed_eps_eff, seg_len, label=f"taper-{i:02d}"))
     elements.append(UniformLine(interposer_z, pin_eps_eff, pin_length, label="coax-pin"))
-    elements.append(SeriesImpedance(bond_resistance, bond_inductance, label="bond"))
+    elements.append(SeriesImpedance(rf.bond_resistance, rf.bond_inductance, label="bond"))
     return elements
 
 
-def mismatch_report(pin_length: float, interposer_z: float, system_z: float,
-                    band: tuple[float, float] = (0.0, 10e9), *,
-                    points: int = 1001, **path_kwargs) -> MismatchReport:
-    """Sweep the default signal path over `band` and locate the worst reflection.
+def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
+                    pin_eps_eff: float, feed_eps_eff: float) -> MismatchReport:
+    """Sweep the default signal path over `rf.band` and locate the worst reflection.
 
-    The grid is uniform and includes both band edges.  The band must stay
-    within the interconnect's DC-10 GHz operating range.
+    The grid is uniform, `rf.points` long, and includes both band edges.
     """
-    f_lo, f_hi = band
-    if not 0.0 <= f_lo < f_hi:
-        raise ValueError("band must satisfy 0 <= f_lo < f_hi")
-    if f_hi > MAX_BAND_HZ * (1 + 1e-9):
-        raise ValueError(f"band upper edge {f_hi} Hz exceeds the {MAX_BAND_HZ:.0e} Hz operating range")
-    if points < 2:
-        raise ValueError("points must be >= 2")
-    elements = build_signal_path(pin_length, interposer_z, system_z, **path_kwargs)
-    freqs = np.linspace(f_lo, f_hi, points)
-    net = cascade(elements, freqs, z_src=system_z, z_load=system_z)
+    elements = build_signal_path(rf, pin_length, interposer_z,
+                                 pin_eps_eff=pin_eps_eff, feed_eps_eff=feed_eps_eff)
+    freqs = np.linspace(*rf.band, rf.points)
+    net = cascade(elements, freqs, z_src=rf.system_impedance, z_load=rf.system_impedance)
     resp = to_s_parameters(net)
     mag = np.abs(resp.s11)
     i = int(np.argmax(mag))

@@ -1,4 +1,4 @@
-"""Parsing and formatting of unit-suffixed quantities, and the field
+"""Parsing of unit-suffixed quantities, and the field
 kinds that read every JSON input of the toolkit.
 
 Config files carry dimensional values as strings with explicit unit
@@ -44,7 +44,6 @@ POWER_UNITS = {
 TEMPERATURE_UNITS = {"K": 1.0, "mK": 1e-3}
 RESISTANCE_UNITS = {"ohm": 1.0, "Ohm": 1.0, "kohm": 1e3, "mohm": 1e-3}
 INDUCTANCE_UNITS = {"H": 1.0, "uH": 1e-6, "µH": 1e-6, "nH": 1e-9, "pH": 1e-12}
-PRESSURE_UNITS = {"Pa": 1.0, "kPa": 1e3, "MPa": 1e6, "N/mm2": 1e6}
 
 
 def parse_quantity(value, units: dict[str, float], field: str = "value") -> float:
@@ -104,10 +103,6 @@ def parse_resistance(value, field: str = "resistance") -> float:
 
 def parse_inductance(value, field: str = "inductance") -> float:
     return parse_quantity(value, INDUCTANCE_UNITS, field)
-
-
-def parse_pressure(value, field: str = "pressure") -> float:
-    return parse_quantity(value, PRESSURE_UNITS, field)
 
 
 def _finite(value, where: str) -> float:
@@ -240,13 +235,3 @@ def build(cls, where: str, **fields):
         raise
     except (ValueError, DensewireError) as exc:
         raise ConfigInvalid(where, str(exc)) from None
-
-
-def format_length(meters: float) -> str:
-    """Render a length in the most natural of µm / mm / m."""
-    a = abs(meters)
-    if a < 1e-3:
-        return f"{meters * 1e6:.6g}um"
-    if a < 1.0:
-        return f"{meters * 1e3:.6g}mm"
-    return f"{meters:.6g}m"

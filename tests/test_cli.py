@@ -208,3 +208,13 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "paper-check" in proc.stdout
+
+
+def test_package_import_loads_no_submodule():
+    # `import densewire` is the version string only; numpy comes with rfnet.
+    code = ("import sys, densewire; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('densewire.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from densewire.cli import main
 from densewire.config import RfSettings, load_design_config, parse_design_config, set_parameter
-from densewire.errors import ConfigInvalid, UnknownParameter
+from densewire.errors import ConfigInvalid
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +141,13 @@ class TestSetParameter:
         out = set_parameter(raw, "wiring.1.wire_pitch", 450e-6)
         assert out["wiring"][1]["wire_pitch"] == 450e-6
 
-    def test_unknown_path(self, raw):
-        with pytest.raises(UnknownParameter):
-            set_parameter(raw, "layout.nope", 1.0)
-        with pytest.raises(UnknownParameter):
-            set_parameter(raw, "wiring.7.wire_pitch", 1.0)
+    def test_unknown_path(self, raw, catalog):
+        # Parsing rejects the path, so set_parameter never sees it.
+        for path in ("layout.nope", "wiring.7.wire_pitch"):
+            raw["sweeps"][0]["parameter"] = path
+            with pytest.raises(ConfigInvalid) as err:
+                parse_design_config(raw, catalog)
+            assert err.value.field == "sweeps[0].parameter"
 
 
 def _mutated(raw: dict, path: tuple, value) -> dict:
@@ -223,6 +225,13 @@ _BAD_INPUTS = [
     (("cpw", "ground_width"), "50um", "impedance", "cpw.ground_width"),
     # named the swept field, and only once `sweep` reached a non-integral point
     (("sweeps", 0), _SIDE_SWEEP | {"steps": 4}, "scale", "sweeps[0].steps"),
+    # a field the config does not set: the lateral pitch derives from
+    # bond_geometry, and there is no coax section
+    (("sweeps", 0, "parameter"), "wiring.0.wire_pitch", "scale", "sweeps[0].parameter"),
+    (("sweeps", 0, "parameter"), "coax.inner_diameter", "scale", "sweeps[0].parameter"),
+    # a traceback from the sweep grid; 1e17 points exceed any address space,
+    # so the allocation fails at once
+    (("sweeps", 0, "steps"), 10**17, "scale", "sweeps[0].steps"),
 ]
 
 

@@ -34,8 +34,8 @@ def test_lookup_alias(catalog):
 
 
 def test_lookup_round_trips_every_entry(catalog):
-    for name in catalog.names():
-        assert catalog.lookup(name) is catalog.entries[name]
+    for name, entry in catalog.entries.items():
+        assert catalog.lookup(name) is entry
 
 
 def test_superconducting_below_tc(catalog):

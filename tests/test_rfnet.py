@@ -7,6 +7,7 @@ import pytest
 from densewire.rfnet import (
     FrequencyResponse,
     IdealAttenuator,
+    RfSettings,
     SeriesImpedance,
     ShuntAdmittance,
     TwoPortNetwork,
@@ -19,6 +20,10 @@ from densewire.rfnet import (
 )
 from densewire.tlines import SPEED_OF_LIGHT
 from oracles import brute_force_cascade, line_two_step_s11, line_two_step_s21
+
+
+# The pin and the feed of every reported path sit in an eps_r = 3 fill.
+EPS = {"pin_eps_eff": 3.0, "feed_eps_eff": 3.0}
 
 
 def quarter_wave_frequency(line: UniformLine) -> float:
@@ -183,13 +188,13 @@ class TestSParameters:
 
 class TestMismatchReport:
     def test_fully_matched_path(self):
-        rep = mismatch_report(0.02, 50.0, 50.0, (0.0, 10e9))
+        rep = mismatch_report(RfSettings(), 0.02, 50.0, **EPS)
         assert rep.worst_s11 < 1e-12
 
     def test_two_step_oracle(self):
         # Bare 24-ohm pin section between 50-ohm ports: the response must
         # equal the closed-form two-discontinuity interference formula.
-        rep = mismatch_report(0.02, 24.0, 50.0, (0.0, 10e9), points=201, pin_eps_eff=3.0)
+        rep = mismatch_report(RfSettings(points=201), 0.02, 24.0, **EPS)
         beta = 2 * math.pi * rep.response.frequencies * math.sqrt(3.0) / SPEED_OF_LIGHT
         for i, bl in enumerate(beta * 0.02):
             assert abs(rep.response.s11[i] - line_two_step_s11(24.0, 50.0, bl)) < 1e-9
@@ -197,7 +202,7 @@ class TestMismatchReport:
 
     def test_halving_length_doubles_first_minimum(self):
         def first_minimum(length):
-            rep = mismatch_report(length, 24.0, 50.0, (0.0, 10e9), points=8001)
+            rep = mismatch_report(RfSettings(points=8001), length, 24.0, **EPS)
             mag = np.abs(rep.response.s11)
             seen_peak = False
             for i in range(1, len(mag) - 1):
@@ -214,25 +219,32 @@ class TestMismatchReport:
         # A matched line and a series R between 50 ohm ports: S11 = R/(R+100)
         # and S21 = 100/(R+100) at every frequency, so the residual is
         # 1 - |S11|^2 - |S21|^2 = 200R/(R+100)^2.
-        lossy = mismatch_report(0.02, 50.0, 50.0, points=11, bond_resistance=1.0)
+        lossy = mismatch_report(RfSettings(points=11, bond_resistance=1.0), 0.02, 50.0, **EPS)
         assert lossy.to_record()["passivity_residual"] == pytest.approx(200.0 / 101.0 ** 2,
                                                                        rel=1e-12)
-        lossless = mismatch_report(0.02, 14.0, 50.0, points=1001, taper_length=0.01)
+        lossless = mismatch_report(RfSettings(taper_length=0.01), 0.02, 14.0, **EPS)
         assert lossless.to_record()["passivity_residual"] < 1e-12
 
     def test_band_is_capped(self):
         with pytest.raises(ValueError):
-            mismatch_report(0.02, 24.0, 50.0, (0.0, 20e9))
+            RfSettings(band=(0.0, 20e9))
+
+    @pytest.mark.parametrize("field", [{"points": 1}, {"taper_segments": 0}],
+                             ids=["points", "taper_segments"])
+    def test_grid_and_taper_need_enough_points(self, field):
+        with pytest.raises(ValueError):
+            RfSettings(**field)
 
     def test_grid_refinement_stability(self):
-        a = mismatch_report(0.02, 14.0, 50.0, (0.0, 10e9), points=1001)
-        b = mismatch_report(0.02, 14.0, 50.0, (0.0, 10e9), points=2001)
+        a = mismatch_report(RfSettings(points=1001), 0.02, 14.0, **EPS)
+        b = mismatch_report(RfSettings(points=2001), 0.02, 14.0, **EPS)
         assert abs(a.worst_s11 - b.worst_s11) / b.worst_s11 < 1e-3
 
     def test_taper_reduces_low_frequency_mismatch(self):
-        plain = mismatch_report(0.02, 14.0, 50.0, (0.0, 2e9), points=401)
-        tapered = mismatch_report(0.02, 14.0, 50.0, (0.0, 2e9), points=401,
-                                  taper_length=0.01, taper_segments=16)
+        rf = RfSettings(band=(0.0, 2e9), points=401)
+        plain = mismatch_report(rf, 0.02, 14.0, **EPS)
+        tapered = mismatch_report(dataclasses.replace(rf, taper_length=0.01, taper_segments=16),
+                                  0.02, 14.0, **EPS)
         assert tapered.worst_s11 < plain.worst_s11
 
 

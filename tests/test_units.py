@@ -2,11 +2,9 @@ import pytest
 
 from densewire.errors import ConfigInvalid
 from densewire.units import (
-    format_length,
     parse_frequency,
     parse_length,
     parse_power,
-    parse_pressure,
     parse_resistance,
     parse_temperature,
 )
@@ -38,7 +36,6 @@ def test_bare_numbers_are_si():
     (parse_temperature, "10mK", 0.01),
     (parse_temperature, "3K", 3.0),
     (parse_resistance, "50ohm", 50.0),
-    (parse_pressure, "10N/mm2", 10e6),
 ])
 def test_other_dimensions(fn, text, expected):
     assert fn(text) == pytest.approx(expected, rel=1e-12)
@@ -62,9 +59,3 @@ def test_garbage_rejected():
         parse_length(None)
     with pytest.raises(ConfigInvalid):
         parse_length(True)
-
-
-def test_format_length():
-    assert format_length(500e-6) == "500um"
-    assert format_length(18e-3) == "18mm"
-    assert format_length(1.5) == "1.5m"
