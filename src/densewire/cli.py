@@ -10,6 +10,7 @@ error or a failed golden-value check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -44,11 +45,19 @@ ENV_MATERIALS = "DENSEWIRE_MATERIALS"
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through `<name>.tmp` and rename; a failed write or rename
+    removes the temp file before the error propagates."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    f = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def _json_text(doc) -> str:

@@ -280,21 +280,40 @@ def _columns(sites: SiteGrid) -> dict[str, list[float]]:
     return {"x": list(sites.xs) * len(sites.ys), "y": [y for y in sites.ys for _ in sites.xs]}
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _column_text(sites: SiteGrid) -> str:
+    """`_dumps(_columns(sites))`, with each axis value formatted once: the x
+    column repeats the row's text, the y column repeats each value per row."""
+    row = _dumps(sites.xs)[1:-1]
+    ys = _dumps(sites.ys)[1:-1].split(",")
+    nx = len(sites.xs)
+    x = ",".join([row] * len(ys))
+    y = ",".join([",".join([v] * nx) for v in ys])
+    return f'{{"x":[{x}],"y":[{y}]}}'
+
+
 def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig | None = None) -> str:
     """The grid and its site coordinates as columns, meters; compact and
-    deterministic byte-for-byte.  Holes equal pads and are not written."""
+    deterministic byte-for-byte.  Holes equal pads and are not written.
+
+    The text is `_dumps` of the whole document; the site columns are built
+    by `_column_text` and every other member by `_dumps`."""
     doc = {
         "format": LAYOUT_FORMAT,
         "units": "m",
         "grid": {"side_count": layout.side_count, "pitch": layout.pitch,
                  "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
-        "pads": _columns(layout.pad_centers),
-        "solder_balls": _columns(layout.solder_ball_sites),
         "annotations": [dataclasses.asdict(a) for a in layout.annotations],
     }
     if cfg is not None:
         doc["config"] = dataclasses.asdict(cfg)
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    members = {key: _dumps(value) for key, value in doc.items()}
+    members["pads"] = _column_text(layout.pad_centers)
+    members["solder_balls"] = _column_text(layout.solder_ball_sites)
+    return "{" + ",".join(f'"{key}":{members[key]}' for key in sorted(members)) + "}\n"
 
 
 def _positive(value, where: str) -> float:
@@ -389,8 +408,10 @@ def layout_to_svg(layout: InterposerLayout, cfg: LayoutConfig) -> str:
         )
     for symbol, sites in (("site", layout.pad_centers), ("ball", layout.solder_ball_sites)):
         xs = [_svg_um(x) for x in sites.xs]
+        head = f'<use xlink:href="#{symbol}" x="'
         for y in map(_svg_um, sites.ys):
-            parts.extend(f'<use xlink:href="#{symbol}" x="{x}" y="{y}"/>' for x in xs)
+            tail = f'" y="{y}"/>'
+            parts.append(head + (tail + "\n" + head).join(xs) + tail)
     parts += ["</g>", "</svg>"]
     return "\n".join(parts) + "\n"
 

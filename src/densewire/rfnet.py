@@ -80,11 +80,19 @@ class IdealAttenuator:
 NetworkElement = Union[UniformLine, SeriesImpedance, ShuntAdmittance, IdealAttenuator]
 
 
-def _element_abcd(e: NetworkElement, f: np.ndarray) -> tuple:
-    """A, B, C, D of one element over the grid `f`; each a scalar or a length-nf vector."""
+def _element_abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
+    """A, B, C, D of one element over the grid `f`; each a scalar or a length-nf vector.
+
+    `phases` maps a line's (eps_eff, length) to its cos and sin over `f`, so
+    lines that share both compute them once.  The sign of the length is part
+    of the key: -0.0 == 0.0, but their sines differ in sign.
+    """
     if isinstance(e, UniformLine):
-        beta_l = 2.0 * math.pi * f * math.sqrt(e.eps_eff) / SPEED_OF_LIGHT * e.length
-        c, s = np.cos(beta_l), np.sin(beta_l)
+        key = (e.eps_eff, e.length, math.copysign(1.0, e.length))
+        if key not in phases:
+            beta_l = 2.0 * math.pi * f * math.sqrt(e.eps_eff) / SPEED_OF_LIGHT * e.length
+            phases[key] = np.cos(beta_l), np.sin(beta_l)
+        c, s = phases[key]
         return c, 1j * e.z0 * s, 1j * s / e.z0, c
     if isinstance(e, SeriesImpedance):
         return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
@@ -127,9 +135,10 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
     if not elements:
         raise ValueError("cascade requires at least one element")
     f = np.asarray(frequencies, dtype=float)
-    A, B, C, D = _element_abcd(elements[0], f)
+    phases: dict = {}
+    A, B, C, D = _element_abcd(elements[0], f, phases)
     for e in elements[1:]:
-        a, b, c, d = _element_abcd(e, f)
+        a, b, c, d = _element_abcd(e, f, phases)
         A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
     A, B, C, D = (np.broadcast_to(v, f.shape).astype(complex, copy=False) for v in (A, B, C, D))
     return TwoPortNetwork(f, A, B, C, D, z_src=z_src, z_load=z_load)

@@ -2,13 +2,16 @@
 
 These deliberately avoid the code paths they check: quadrature instead of
 the AGM, fixed-step Simpson instead of the closed-form power-law integral,
-closed-form reflection formulas instead of the ABCD cascade, and bisection
-instead of algebraic solutions.
+closed-form reflection formulas instead of the ABCD cascade, bisection
+instead of algebraic solutions, and one `json.dumps` or f-string per site
+instead of the layout writers' per-axis text.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -74,3 +77,32 @@ def brute_force_cascade(matrices):
             [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
         ]
     return total
+
+
+def columnar_layout_json(layout, cfg=None) -> str:
+    """layout.json format 2 as one compact, key-sorted `json.dumps` of the
+    whole document, every site coordinate a list entry of its own."""
+    def columns(sites):
+        return {"x": [x for _ in sites.ys for x in sites.xs],
+                "y": [y for y in sites.ys for _ in sites.xs]}
+
+    doc = {
+        "format": 2,
+        "units": "m",
+        "grid": {"side_count": layout.side_count, "pitch": layout.pitch,
+                 "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
+        "pads": columns(layout.pad_centers),
+        "solder_balls": columns(layout.solder_ball_sites),
+        "annotations": [dataclasses.asdict(a) for a in layout.annotations],
+    }
+    if cfg is not None:
+        doc["config"] = dataclasses.asdict(cfg)
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def svg_use_lines(layout) -> list[str]:
+    """The SVG's <use> lines, one f-string per site: pads ("site") row by
+    row with x fastest, then the solder balls ("ball")."""
+    return [f'<use xlink:href="#{symbol}" x="{x * 1e6:.3f}" y="{y * 1e6:.3f}"/>'
+            for symbol, sites in (("site", layout.pad_centers), ("ball", layout.solder_ball_sites))
+            for x, y in sites]

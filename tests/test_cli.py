@@ -146,6 +146,14 @@ class TestErrors:
         assert code == 2
         assert "pitch" in capsys.readouterr().err.lower()
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "layout.json").mkdir(parents=True)  # the rename onto it fails
+        code = main(["--out", str(out), "layout"])
+        assert code == 2
+        assert "layout.json" in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "o"), "scale"])

@@ -22,6 +22,7 @@ from densewire.layout import (
     run_drc,
 )
 from densewire.tlines import PinStack
+from oracles import columnar_layout_json, svg_use_lines
 
 NOMINAL = LayoutConfig(
     qubit_pitch=500e-6,
@@ -281,6 +282,24 @@ class TestExports:
         assert doc["pads"]["x"] == [-500e-6, 0.0, 500e-6] * 3
         assert doc["pads"]["y"] == [-500e-6] * 3 + [0.0] * 3 + [500e-6] * 3
         assert doc["solder_balls"]["x"] == doc["pads"]["x"]
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 20, 401])
+    @pytest.mark.parametrize("with_cfg", [True, False])
+    def test_json_equals_one_dumps_of_the_document(self, side, with_cfg):
+        cfg = mutate(array_side_count=side)
+        layout = generate_layout(cfg, annotations=(
+            Annotation("pads", '{"x":[', 0.05),
+            Annotation("cable-\u0000", "Dämpfer −20 dB µ", -1.5e-3),
+            Annotation('"solder_balls":{"y":[0]}', "\\u0000 \\ \n", 0.0)))
+        cfg = cfg if with_cfg else None
+        assert layout_to_json(layout, cfg) == columnar_layout_json(layout, cfg)
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 20])
+    def test_svg_use_lines_are_one_per_site(self, side):
+        cfg = mutate(array_side_count=side)
+        layout = generate_layout(cfg)
+        lines = export_layout(layout, "svg", cfg).splitlines()
+        assert [line for line in lines if line.startswith("<use")] == svg_use_lines(layout)
 
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormat):

@@ -12,6 +12,7 @@ from densewire.rfnet import (
     ShuntAdmittance,
     TwoPortNetwork,
     UniformLine,
+    _element_abcd,
     cascade,
     mismatch_report,
     response_csv,
@@ -38,6 +39,15 @@ def abcd(element, frequency: float) -> np.ndarray:
 
 def matrix(net: TwoPortNetwork, i: int) -> np.ndarray:
     return np.array([[net.A[i], net.B[i]], [net.C[i], net.D[i]]])
+
+
+def unshared_cascade(chain, f):
+    """cascade's chain product with each element's cos and sin computed on its own."""
+    A, B, C, D = _element_abcd(chain[0], f, {})
+    for e in chain[1:]:
+        a, b, c, d = _element_abcd(e, f, {})
+        A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
+    return [np.broadcast_to(v, f.shape).astype(complex) for v in (A, B, C, D)]
 
 
 def random_element(rng, kind: int):
@@ -118,6 +128,26 @@ class TestCascade:
             kinds_seen.update(kinds.tolist())
             self.assert_matches_brute_force([random_element(rng, k) for k in kinds], freqs)
         assert kinds_seen == {0, 1, 2, 3}
+
+    @staticmethod
+    def assert_equals_unshared(chain):
+        freqs = np.linspace(0.0, 10e9, 257)
+        net = cascade(chain, freqs)
+        for got, want in zip((net.A, net.B, net.C, net.D), unshared_cascade(chain, freqs)):
+            assert got.tobytes() == want.tobytes()
+        TestCascade.assert_matches_brute_force(chain, freqs[::32].tolist())
+
+    def test_shared_phases_are_exact(self):
+        # Three kinds of pairs: same (eps_eff, length) with another z0; same
+        # length with another eps_eff; same eps_eff with another length.
+        self.assert_equals_unshared([
+            UniformLine(24.0, 3.0, 0.004), UniformLine(14.0, 3.0, 0.004),
+            SeriesImpedance(0.5, 1e-10), UniformLine(30.0, 2.5, 0.004),
+            UniformLine(30.0, 2.5, 0.007), UniformLine(24.0, 3.0, 0.004)])
+
+    def test_signed_zero_lengths_do_not_share(self):
+        # -0.0 == 0.0, but the sign of B's zero real part shows which sine was used.
+        self.assert_equals_unshared([UniformLine(50.0, 3.0, -0.0), UniformLine(60.0, 3.0, 0.0)])
 
     def test_frequencies_must_increase(self):
         with pytest.raises(ValueError):
