@@ -44,20 +44,34 @@ from .tlines import (
 ENV_MATERIALS = "DENSEWIRE_MATERIALS"
 
 
+_WRITE_SLICE = 1 << 20  # characters encoded per write
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Write through `<name>.tmp` and rename; a failed write or rename
-    removes the temp file before the error propagates."""
+    removes the temp file before the error propagates.  The text goes out
+    in slices, so its UTF-8 encoding never exists whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     f = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
         with f:
-            f.write(text)
+            for i in range(0, len(text), _WRITE_SLICE):
+                f.write(text[i:i + _WRITE_SLICE])
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
+
+
+@contextlib.contextmanager
+def _fits_in_memory(field: str, what: str):
+    """Turn a failed allocation into a config error naming the field that sized it."""
+    try:
+        yield
+    except MemoryError:
+        raise ConfigInvalid(field, f"{what} do not fit in memory") from None
 
 
 def _json_text(doc) -> str:
@@ -182,15 +196,16 @@ def _cmd_rf(run: _Run, args) -> int:
     interposer_z = coax_impedance(config.coax)
     feed_eps = (cpw_effective_permittivity(config.cpw) if config.cpw is not None
                 else config.coax.eps_r)
-    report = mismatch_report(rf, config.layout.pin_length, interposer_z,
-                             pin_eps_eff=config.coax.eps_r, feed_eps_eff=feed_eps)
-    print(f"path: {len(report.elements)} elements, pin Z={interposer_z:.4g} ohm in a "
-          f"{rf.system_impedance:g} ohm system")
-    print(f"worst |S11| = {report.worst_s11:.6g} at "
-          f"{report.worst_s11_frequency / 1e9:.6g} GHz")
-    run.write("rf_response.csv", response_csv(report.response))
-    run.write("rf.s2p", touchstone(report.response))
-    run.write("rf.json", _json_text(run.report_doc(report.to_record())))
+    with _fits_in_memory("rf.points", f"{rf.points} frequency points"):
+        report = mismatch_report(rf, config.layout.pin_length, interposer_z,
+                                 pin_eps_eff=config.coax.eps_r, feed_eps_eff=feed_eps)
+        print(f"path: {len(report.elements)} elements, pin Z={interposer_z:.4g} ohm in a "
+              f"{rf.system_impedance:g} ohm system")
+        print(f"worst |S11| = {report.worst_s11:.6g} at "
+              f"{report.worst_s11_frequency / 1e9:.6g} GHz")
+        run.write("rf_response.csv", response_csv(report.response))
+        run.write("rf.s2p", touchstone(report.response))
+        run.write("rf.json", _json_text(run.report_doc(report.to_record())))
     return 0
 
 
@@ -205,10 +220,12 @@ def _cmd_layout(run: _Run, args) -> int:
         print(f"DRC {f.severity.upper():<7} {f.rule}: {f.message}")
     if drc.passed:
         print("DRC clean")
-    if args.format in ("json", "both"):
-        run.write("layout.json", export_layout(layout, "json", config.layout))
-    if args.format in ("svg", "both"):
-        run.write("layout.svg", export_layout(layout, "svg", config.layout))
+    side = config.layout.array_side_count
+    with _fits_in_memory("layout.array_side_count", f"the sites of a {side}x{side} grid"):
+        if args.format in ("json", "both"):
+            run.write("layout.json", export_layout(layout, "json", config.layout))
+        if args.format in ("svg", "both"):
+            run.write("layout.svg", export_layout(layout, "svg", config.layout))
     run.write("drc.json", _json_text(run.report_doc({"findings": drc.to_records(),
                                                      "passed": drc.passed})))
     return 0

@@ -313,7 +313,11 @@ def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig | None = None) ->
     members = {key: _dumps(value) for key, value in doc.items()}
     members["pads"] = _column_text(layout.pad_centers)
     members["solder_balls"] = _column_text(layout.solder_ball_sites)
-    return "{" + ",".join(f'"{key}":{members[key]}' for key in sorted(members)) + "}\n"
+    parts = ["{"]
+    for key in sorted(members):  # one join copies each member's text once, into the result
+        parts += [f'"{key}":', members[key], ","]
+    parts[-1] = "}\n"
+    return "".join(parts)
 
 
 def _positive(value, where: str) -> float:
@@ -412,8 +416,8 @@ def layout_to_svg(layout: InterposerLayout, cfg: LayoutConfig) -> str:
         for y in map(_svg_um, sites.ys):
             tail = f'" y="{y}"/>'
             parts.append(head + (tail + "\n" + head).join(xs) + tail)
-    parts += ["</g>", "</svg>"]
-    return "\n".join(parts) + "\n"
+    parts += ["</g>", "</svg>", ""]
+    return "\n".join(parts)
 
 
 def export_layout(layout: InterposerLayout, fmt: str, cfg: LayoutConfig | None = None) -> str:

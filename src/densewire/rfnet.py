@@ -279,21 +279,25 @@ def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
 
 # A single `%` per row formats faster than an f-string of seven or nine
 # fields, and "%.12g" % x == f"{x:.12g}" for every float.
-_CSV_ROW = "%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g"
-_S2P_ROW = "%.10g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g"
+_CSV_ROW = "%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+_S2P_ROW = "%.10g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g\n"
+_BLOCK = 4096  # rows formatted per block
 
 
-def _rows(fmt: str, *columns) -> list[str]:
-    """Each row of the columns, read as Python floats, formatted with `fmt`."""
-    return [fmt % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+def _rows(fmt: str, *columns):
+    """The rows of the columns, read as Python floats and formatted with
+    `fmt`, as one text per block of `_BLOCK` rows: only one block's floats
+    and row strings exist at a time, and the caller joins the blocks once."""
+    columns = [np.asarray(c) for c in columns]
+    for i in range(0, len(columns[0]), _BLOCK):
+        yield "".join([fmt % row for row in zip(*(c[i:i + _BLOCK].tolist() for c in columns))])
 
 
 def response_csv(resp: FrequencyResponse) -> str:
     """CSV dump: frequency, Re/Im of S11 and S21, and dB magnitudes."""
-    lines = ["frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"]
-    lines += _rows(_CSV_ROW, resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real,
-                   resp.s21.imag, resp.s11_db(), resp.s21_db())
-    return "\n".join(lines) + "\n"
+    return "".join(["frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n",
+                    *_rows(_CSV_ROW, resp.frequencies, resp.s11.real, resp.s11.imag,
+                           resp.s21.real, resp.s21.imag, resp.s11_db(), resp.s21_db())])
 
 
 def touchstone(resp: FrequencyResponse) -> str:
@@ -305,13 +309,12 @@ def touchstone(resp: FrequencyResponse) -> str:
     Specification v2.0).
     """
     v2 = resp.z_load != resp.z_src
-    lines = [f"# Hz S RI R {resp.z_src:.12g}"]
+    head = f"# Hz S RI R {resp.z_src:.12g}\n"
     if v2:
-        lines = ["[Version] 2.0", *lines, "[Number of Ports] 2", "[Two-Port Data Order] 21_12",
-                 f"[Number of Frequencies] {len(resp.frequencies)}",
-                 f"[Reference] {resp.z_src:.12g} {resp.z_load:.12g}", "[Network Data]"]
-    lines += _rows(_S2P_ROW, resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real,
-                   resp.s21.imag, resp.s12.real, resp.s12.imag, resp.s22.real, resp.s22.imag)
-    if v2:
-        lines.append("[End]")
-    return "\n".join(lines) + "\n"
+        head = ("[Version] 2.0\n" + head + "[Number of Ports] 2\n[Two-Port Data Order] 21_12\n"
+                f"[Number of Frequencies] {len(resp.frequencies)}\n"
+                f"[Reference] {resp.z_src:.12g} {resp.z_load:.12g}\n[Network Data]\n")
+    return "".join([head, *_rows(_S2P_ROW, resp.frequencies, resp.s11.real, resp.s11.imag,
+                                 resp.s21.real, resp.s21.imag, resp.s12.real, resp.s12.imag,
+                                 resp.s22.real, resp.s22.imag),
+                    "[End]\n" if v2 else ""])

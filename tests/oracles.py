@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: quadrature instead of
 the AGM, fixed-step Simpson instead of the closed-form power-law integral,
 closed-form reflection formulas instead of the ABCD cascade, bisection
-instead of algebraic solutions, and one `json.dumps` or f-string per site
-instead of the layout writers' per-axis text.
+instead of algebraic solutions, one `json.dumps` or f-string per site
+instead of the layout writers' per-axis text, and one list of RF rows
+joined once instead of the RF writers' blocks.
 """
 
 from __future__ import annotations
@@ -106,3 +107,33 @@ def svg_use_lines(layout) -> list[str]:
     return [f'<use xlink:href="#{symbol}" x="{x * 1e6:.3f}" y="{y * 1e6:.3f}"/>'
             for symbol, sites in (("site", layout.pad_centers), ("ball", layout.solder_ball_sites))
             for x, y in sites]
+
+
+def _rf_rows(fmt: str, columns) -> list[str]:
+    return [fmt % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
+def response_csv(resp) -> str:
+    """The RF response CSV: one `%` per row, every line joined once."""
+    lines = ["frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db"]
+    lines += _rf_rows("%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g",
+                      (resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real,
+                       resp.s21.imag, resp.s11_db(), resp.s21_db()))
+    return "\n".join(lines) + "\n"
+
+
+def touchstone(resp) -> str:
+    """The Touchstone text, v1 or (unequal references) v2.0: one `%` per
+    row, every line joined once."""
+    v2 = resp.z_load != resp.z_src
+    lines = [f"# Hz S RI R {resp.z_src:.12g}"]
+    if v2:
+        lines = ["[Version] 2.0", *lines, "[Number of Ports] 2", "[Two-Port Data Order] 21_12",
+                 f"[Number of Frequencies] {len(resp.frequencies)}",
+                 f"[Reference] {resp.z_src:.12g} {resp.z_load:.12g}", "[Network Data]"]
+    lines += _rf_rows("%.10g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g",
+                      (resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real,
+                       resp.s21.imag, resp.s12.real, resp.s12.imag, resp.s22.real, resp.s22.imag))
+    if v2:
+        lines.append("[End]")
+    return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from densewire.cli import main
+from densewire.cli import _write_atomic, main
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -158,6 +158,19 @@ class TestErrors:
         code = main(["--config", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "o"), "scale"])
         assert code == 2
+
+
+class TestWrite:
+    def test_encoding_never_holds_the_whole_text(self, tmp_path, traced_peak):
+        text = "0123456789abcdef\n" * 470_589  # 8 MB of ASCII
+        _, peak = traced_peak(_write_atomic, tmp_path / "big.txt", text)
+        assert peak < 3 * 2**20
+        assert (tmp_path / "big.txt").read_text(encoding="utf-8") == text
+
+    def test_multibyte_text_across_slices(self, tmp_path):
+        text = "a\u20ac\U0001d11e\n" * 300_000  # 1.2M characters, 2.7 MB of UTF-8
+        _write_atomic(tmp_path / "utf8.txt", text)
+        assert (tmp_path / "utf8.txt").read_bytes() == text.encode("utf-8")
 
 
 class TestOverrides:

@@ -232,6 +232,10 @@ _BAD_INPUTS = [
     # a traceback from the sweep grid; 1e17 points exceed any address space,
     # so the allocation fails at once
     (("sweeps", 0, "steps"), 10**17, "scale", "sweeps[0].steps"),
+    # a traceback from a failed allocation: the RF grid of 1e17 points and the
+    # layout.json columns of a 10^6 x 10^6 grid ask for 800 PB and 20 TB
+    (("rf", "points"), 10**17, "rf", "rf.points"),
+    (("layout", "array_side_count"), 10**6, "layout", "layout.array_side_count"),
 ]
 
 

@@ -18,6 +18,7 @@ from densewire.layout import (
     generate_layout,
     layout_from_json,
     layout_to_json,
+    layout_to_svg,
     process_checklist,
     run_drc,
 )
@@ -237,6 +238,13 @@ class TestExports:
     def test_json_deterministic(self):
         layout = generate_layout(NOMINAL)
         assert layout_to_json(layout, NOMINAL) == layout_to_json(layout, NOMINAL)
+
+    @pytest.mark.parametrize("writer", [layout_to_json, layout_to_svg])
+    def test_peak_memory_is_about_twice_the_text(self, writer, traced_peak):
+        cfg = mutate(array_side_count=200)
+        layout = generate_layout(cfg)
+        text, peak = traced_peak(writer, layout, cfg)
+        assert peak <= 2.25 * len(text)
 
     def test_svg_unit_array_single_hole(self):
         cfg = mutate(array_side_count=1)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from densewire.rfnet import (
+    _BLOCK,
     FrequencyResponse,
     IdealAttenuator,
     RfSettings,
@@ -346,3 +348,24 @@ class TestPinnedText:
             "[Network Data]\n"
             + PINNED_ROWS
             + "[End]\n")
+
+
+class TestBlockedRows:
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("z0", [24.0, 50.0], ids=["mismatched", "matched"])
+    def test_writers_equal_one_row_list_joined_once(self, n, z0):
+        resp = to_s_parameters(cascade([UniformLine(z0, 3.0, 0.02)], np.linspace(0, 10e9, n)))
+        csv = response_csv(resp)
+        assert csv == oracles.response_csv(resp)
+        assert touchstone(resp) == oracles.touchstone(resp)
+        unequal = dataclasses.replace(resp, z_load=75.0)
+        assert touchstone(unequal) == oracles.touchstone(unequal)
+        if z0 == 50.0:  # the matched path's S11 is a signed zero, -inf dB
+            assert ",-0,-0," in csv and ",-inf," in csv
+
+    @pytest.mark.parametrize("writer", [response_csv, touchstone])
+    def test_peak_memory_is_about_twice_the_text(self, writer, traced_peak):
+        resp = to_s_parameters(cascade([UniformLine(24.0, 3.0, 0.02)],
+                                       np.linspace(0, 10e9, 20_000)))
+        text, peak = traced_peak(writer, resp)
+        assert peak <= 2.25 * len(text)
