@@ -88,15 +88,13 @@ class _Run:
             load_catalog(materials_path) if materials_path else default_catalog()
         )
         if args.config:
-            self.config_path = Path(args.config)
-            config_bytes = self.config_path.read_bytes()
-            self.config: DesignConfig = load_design_config(self.config_path, self.catalog)
+            config_bytes = Path(args.config).read_bytes()
+            self.config: DesignConfig = load_design_config(args.config, self.catalog)
         else:
             config_bytes = (
                 resources.files("densewire").joinpath("data/default_config.json").read_bytes()
             )
             self.config = parse_design_config(json.loads(config_bytes), self.catalog)
-            self.config_path = None
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()
         self.artifacts: list[str] = []
 
@@ -116,7 +114,7 @@ class _Run:
         return path
 
 
-def _scale_records(config: DesignConfig, logical_overhead: int):
+def _scale_records(config: DesignConfig) -> dict:
     records = {}
     for arch in config.wiring:
         if arch.access == LATERAL:
@@ -129,15 +127,15 @@ def _scale_records(config: DesignConfig, logical_overhead: int):
             rec = rep.to_record()
         rec["wire_pitch_m"] = arch.wire_pitch
         rec["pitch_provenance"] = arch.provenance
-        rec["logical_qubits"] = logical_qubit_estimate(rep.n_qubits, logical_overhead)
-        rec["logical_overhead"] = logical_overhead
         records[arch.access] = rec
     return records
 
 
 def _cmd_scale(run: _Run, args) -> int:
-    records = _scale_records(run.config, args.logical_overhead)
+    records = _scale_records(run.config)
     for access, rec in sorted(records.items()):
+        rec["logical_qubits"] = logical_qubit_estimate(rec["n_qubits"], args.logical_overhead)
+        rec["logical_overhead"] = args.logical_overhead
         line = (f"{access:<9} N_q={rec['n_qubits']} N_w={rec['n_wires']} "
                 f"limiting={rec['limiting_factor']} "
                 f"logical@{rec['logical_overhead']}={rec['logical_qubits']}")
@@ -160,7 +158,7 @@ def _impedance_record(config: DesignConfig) -> dict:
         },
         "pin_outer_diameter_m": pin_outer_diameter(config.pin_stack),
     }
-    v, lam = line_propagation(coax, config.rf.band[1])
+    v, lam = line_propagation(coax.eps_r, config.rf.band[1])
     record["coax"]["phase_velocity_m_per_s"] = v
     record["coax"]["wavelength_at_band_top_m"] = lam
     if config.cpw is not None:
@@ -242,66 +240,57 @@ def _cmd_budget(run: _Run, args) -> int:
     return 0
 
 
+# Each sweep column after `parameter, value`: (column, record, key).  The
+# records are the ones `impedance` and `scale` write, plus the first
+# controller block's budget; a record the config does not produce leaves
+# its cells empty.
 _SWEEP_COLUMNS = (
-    "parameter", "value",
-    "pin_outer_m", "coax_inner_m", "coax_outer_m", "coax_eps_r", "coax_z_ohm",
-    "cpw_z_ohm", "cpw_eps_eff",
-    "lateral_n_qubits", "lateral_n_wires", "lateral_limiting", "lateral_crossover_m",
-    "vertical_n_qubits", "vertical_n_wires", "vertical_limiting",
-    "controller_total_w", "controller_margin",
+    ("pin_outer_m", "impedance", "pin_outer_diameter_m"),
+    ("coax_inner_m", "coax", "inner_diameter_m"),
+    ("coax_outer_m", "coax", "outer_diameter_m"),
+    ("coax_eps_r", "coax", "eps_r"),
+    ("coax_z_ohm", "coax", "z_ohm"),
+    ("cpw_z_ohm", "cpw", "z_ohm"),
+    ("cpw_eps_eff", "cpw", "eps_eff"),
+    ("lateral_n_qubits", "lateral", "n_qubits"),
+    ("lateral_n_wires", "lateral", "n_wires"),
+    ("lateral_limiting", "lateral", "limiting_factor"),
+    ("lateral_crossover_m", "lateral", "crossover_length_m"),
+    ("vertical_n_qubits", "vertical", "n_qubits"),
+    ("vertical_n_wires", "vertical", "n_wires"),
+    ("vertical_limiting", "vertical", "limiting_factor"),
+    ("controller_total_w", "controller", "total_w"),
+    ("controller_margin", "controller", "margin"),
 )
 
 
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
 
 
-def _sweep_row(config: DesignConfig, parameter: str, value: float) -> dict:
-    row = dict.fromkeys(_SWEEP_COLUMNS)
-    row["parameter"] = parameter
-    row["value"] = value
-    row["pin_outer_m"] = pin_outer_diameter(config.pin_stack)
-    row["coax_inner_m"] = config.coax.inner_diameter
-    row["coax_outer_m"] = config.coax.outer_diameter
-    row["coax_eps_r"] = config.coax.eps_r
-    row["coax_z_ohm"] = coax_impedance(config.coax)
-    if config.cpw is not None:
-        row["cpw_z_ohm"] = cpw_impedance(config.cpw)
-        row["cpw_eps_eff"] = cpw_effective_permittivity(config.cpw)
-    lateral = config.lateral()
-    if lateral is not None:
-        rep = lateral_scaling_report(config.qubit_array, lateral)
-        row["lateral_n_qubits"] = rep.n_qubits
-        row["lateral_n_wires"] = rep.n_wires
-        row["lateral_limiting"] = rep.limiting_factor
-        row["lateral_crossover_m"] = rep.crossover_length
-    vertical = config.vertical()
-    if vertical is not None:
-        rep = vertical_scaling_report(config.qubit_array, vertical)
-        row["vertical_n_qubits"] = rep.n_qubits
-        row["vertical_n_wires"] = rep.n_wires
-        row["vertical_limiting"] = rep.limiting_factor
+def _sweep_records(config: DesignConfig) -> dict:
+    impedance = _impedance_record(config)
+    records = {"impedance": impedance, "coax": impedance["coax"], "cpw": impedance.get("cpw"),
+               **_scale_records(config)}
     if config.thermal.controllers:
         stage_name, count, tech = config.thermal.controllers[0]
-        budget = controller_budget(count, tech, config.stages.stage(stage_name))
-        row["controller_total_w"] = budget.total
-        row["controller_margin"] = budget.margin
-    return row
+        records["controller"] = controller_budget(
+            count, tech, config.stages.stage(stage_name)).to_record()
+    return records
 
 
 def sweep_csv(run: _Run, decl) -> str:
     """One CSV per sweep declaration: a row of standard outputs per point."""
-    lines = [",".join(_SWEEP_COLUMNS)]
+    lines = [",".join(("parameter", "value", *(c for c, _, _ in _SWEEP_COLUMNS)))]
     for v in decl.points:
-        cfg = parse_design_config(set_parameter(run.config.raw, decl.parameter, v), run.catalog)
-        row = _sweep_row(cfg, decl.parameter, v)
-        lines.append(",".join(_fmt_cell(row[c]) for c in _SWEEP_COLUMNS))
+        cfg = parse_design_config(set_parameter(run.config.raw, decl.keys, v), run.catalog)
+        records = _sweep_records(cfg)
+        lines.append(",".join((decl.parameter, _fmt_cell(v), *(
+            _fmt_cell((records.get(name) or {}).get(key)) for _, name, key in _SWEEP_COLUMNS))))
     return "\n".join(lines) + "\n"
 
 
@@ -330,6 +319,17 @@ def _cmd_paper_check(run: _Run, args) -> int:
     return 0 if failed == 0 else 2
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densewire",
@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scale", help="wiring scalability reports")
-    p.add_argument("--logical-overhead", type=int, default=2000,
+    p.add_argument("--logical-overhead", type=_positive_int, default=2000,
                    help="physical qubits per error-corrected qubit")
     p.set_defaults(func=_cmd_scale)
 

@@ -44,10 +44,9 @@ from .units import build, flag, integer, listof, number, optional, pair, raw, se
 @dataclass(frozen=True)
 class SweepDecl:
     parameter: str
-    start: float
-    stop: float
     steps: int
     points: tuple[float, ...]  # the swept values, start to stop
+    keys: tuple[str | int, ...]  # `parameter` as keys into the raw config; ints index lists
 
 
 @dataclass(frozen=True)
@@ -63,21 +62,7 @@ class DesignConfig:
     thermal: ThermalArchitecture
     sweeps: tuple[SweepDecl, ...]
     annotations: tuple[Annotation, ...]
-    interposer_dielectric: str
-    pin_hole_clearance: float
     raw: dict  # the parsed JSON document this config came from
-
-    def lateral(self) -> WiringArchitecture | None:
-        for w in self.wiring:
-            if w.access == "lateral":
-                return w
-        return None
-
-    def vertical(self) -> WiringArchitecture | None:
-        for w in self.wiring:
-            if w.access == "vertical":
-                return w
-        return None
 
 
 def _core_diameter(value, where: str):
@@ -113,7 +98,7 @@ _SCHEMA = section(
                           eps_r=optional(number))),
     cpw=optional(section(
         trace_width=length, gap=length, substrate_eps_r=number, covered=optional(flag),
-        cover_height=optional(length))),
+        cover_height=optional(units.bounded(length, 0.0, strict=True)))),
     rf=optional(section(
         band=optional(pair(units.parse_frequency, units.parse_frequency)),
         points=optional(integer(2)), system_impedance=optional(resistance),
@@ -132,7 +117,8 @@ _SCHEMA = section(
     # Sweep end-points are read with the swept field's kind in _sweeps.
     sweeps=optional(listof(section(
         parameter=string, start=raw, stop=raw, steps=integer(1)))),
-    annotations=optional(listof(section(cable=string, kind=string, position=length))),
+    annotations=optional(listof(section(cable=string, kind=string,
+                                        position=units.bounded(length, 0.0)))),
 )
 
 
@@ -180,13 +166,14 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
     """Each sweep's path must name a numeric field that this config sets."""
     out = []
     for i, d in enumerate(entries):
-        where, kind, node = f"sweeps[{i}]", _SCHEMA, raw
+        where, kind, node, keys = f"sweeps[{i}]", _SCHEMA, raw, []
         for key in d["parameter"].split("."):
             kind = getattr(kind, "child", lambda _: None)(key)
             if kind is None:
                 raise ConfigInvalid(f"{where}.parameter", f"no config field {d['parameter']!r}")
             try:  # the schema has read `raw`, so a list here is indexed by a decimal key
-                node = node[int(key) if isinstance(node, list) else key]
+                keys.append(int(key) if isinstance(node, list) else key)
+                node = node[keys[-1]]
             except (IndexError, KeyError):
                 raise ConfigInvalid(f"{where}.parameter",
                                     f"{d['parameter']!r} is not set in this config") from None
@@ -194,17 +181,19 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
             d[end] = kind(d[end], f"{where}.{end}")
             if type(d[end]) not in (int, float):  # a flag, string or section
                 raise ConfigInvalid(f"{where}.{end}", f"{d['parameter']} is not a numeric field")
-        try:
-            d["points"] = tuple(np.linspace(d["start"], d["stop"], d["steps"]).tolist())
-        except MemoryError:
+        start, stop, steps = d["start"], d["stop"], d["steps"]
+        if steps == 1 and start != stop:
             raise ConfigInvalid(f"{where}.steps",
-                                f"{d['steps']} points do not fit in memory") from None
-        if type(d["start"]) is int and any(  # an integer field takes integral points only
-                not v.is_integer() for v in d["points"]):
-            raise ConfigInvalid(f"{where}.steps", f"{d['steps']} steps from {d['start']} to "
-                                f"{d['stop']} give non-integral points of integer field "
-                                f"{d['parameter']}")
-        out.append(SweepDecl(**d))
+                                f"1 step needs start == stop, got {start:g} and {stop:g}")
+        try:
+            points = tuple(np.linspace(start, stop, steps).tolist())
+        except MemoryError:
+            raise ConfigInvalid(f"{where}.steps", f"{steps} points do not fit in memory") from None
+        if type(start) is int and any(  # an integer field takes integral points only
+                not v.is_integer() for v in points):
+            raise ConfigInvalid(f"{where}.steps", f"{steps} steps from {start} to {stop} give "
+                                f"non-integral points of integer field {d['parameter']}")
+        out.append(SweepDecl(d["parameter"], steps, points, tuple(keys)))
     return tuple(out)
 
 
@@ -219,7 +208,6 @@ def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> De
 
     interposer = doc["interposer"]
     dielectric = interposer["dielectric"]
-    clearance = interposer["pin_hole_clearance"]
     eps_r = interposer.get("eps_r")
     if eps_r is None:
         if dielectric not in cat:
@@ -231,7 +219,7 @@ def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> De
 
     pin = doc["pin_stack"]
     if pin["core_diameter"] == "auto":
-        pin["core_diameter"] = (layout.hole_diameter - clearance
+        pin["core_diameter"] = (layout.hole_diameter - interposer["pin_hole_clearance"]
                                 - 2.0 * sum(t for _, t in pin.get("coatings", ())))
         if pin["core_diameter"] <= 0:
             raise ConfigInvalid(
@@ -265,8 +253,6 @@ def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> De
         thermal=_thermal(doc["thermal"], stages, cat),
         sweeps=_sweeps(doc.get("sweeps", ()), raw),
         annotations=tuple(Annotation(**a) for a in doc.get("annotations", ())),
-        interposer_dielectric=dielectric,
-        pin_hole_clearance=clearance,
         raw=raw,
     )
 
@@ -280,16 +266,16 @@ def load_design_config(path: str | Path, catalog: MaterialCatalog | None = None)
     return parse_design_config(raw, catalog)
 
 
-def set_parameter(raw: dict, path: str, value: float) -> dict:
-    """Copy `raw` with the dotted `path` set to `value` (SI units).
+def set_parameter(raw: dict, keys: tuple[str | int, ...], value: float) -> dict:
+    """Copy `raw` with the field at `keys` set to `value` (SI units).
 
-    Integer segments index into lists.  `path` is a sweep parameter, which
-    parsing has already checked names a field set in `raw`.
+    `keys` are a sweep's `SweepDecl.keys`, which parsing has already
+    checked reach a field set in `raw`.
     """
     out = copy.deepcopy(raw)
-    *parents, last = (int(seg) if seg.isdecimal() else seg for seg in path.split("."))
+    *parents, last = keys
     node = out
-    for seg in parents:
-        node = node[seg]
+    for key in parents:
+        node = node[key]
     node[last] = value
     return out

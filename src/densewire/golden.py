@@ -45,7 +45,14 @@ from .thermal import (
     Stage,
     controller_budget,
 )
-from .tlines import CoaxSpec, PinStack, coax_impedance, coax_outer_for_impedance, pin_outer_diameter
+from .tlines import (
+    CoaxSpec,
+    PinStack,
+    coax_impedance,
+    coax_outer_for_impedance,
+    line_propagation,
+    pin_outer_diameter,
+)
 
 
 @dataclass(frozen=True)
@@ -259,10 +266,8 @@ def golden_rows(catalog: MaterialCatalog) -> list[GoldenRow]:
         catalog.lookup("In").melting_or_reflow_temp, 157.0, 1e-12))
 
     # Guided wavelength sanity at the top of the band.
-    eps_eff = 3.0
-    lam = 299792458.0 / math.sqrt(eps_eff) / 10e9
     rows.append(_abs_row(
         "wavelength-10ghz", "guided wavelength at 10 GHz, eps_eff=3 [m]",
-        lam, 17.31e-3, 0.01e-3))
+        line_propagation(3.0, 10e9).wavelength, 17.31e-3, 0.01e-3))
 
     return rows

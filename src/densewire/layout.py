@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import ConfigInvalid, UnsupportedFormat
 from .materials import MaterialCatalog, default_catalog
 from .tlines import PinStack, pin_outer_diameter
-from .units import integer, listof, number, optional, raw, section, string
+from .units import bounded, integer, listof, number, optional, raw, section, string
 
 ERROR = "error"
 WARNING = "warning"
@@ -320,13 +320,7 @@ def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig | None = None) ->
     return "".join(parts)
 
 
-def _positive(value, where: str) -> float:
-    x = number(value, where)
-    if not x > 0:
-        raise ConfigInvalid(where, f"must be > 0, got {value!r}")
-    return x
-
-
+_positive = bounded(number, 0.0, strict=True)
 _SITE_COLUMNS = section(x=raw, y=raw)  # checked against the grid
 _LAYOUT_JSON = section(
     format=integer(LAYOUT_FORMAT), units=string,

@@ -65,9 +65,6 @@ class CoaxSpec:
         if self.eps_r < 1.0:
             raise DegenerateGeometry("relative permittivity must be >= 1")
 
-    def effective_permittivity(self) -> float:
-        return self.eps_r
-
 
 @dataclass(frozen=True)
 class CpwSpec:
@@ -90,9 +87,6 @@ class CpwSpec:
             raise DegenerateGeometry("substrate permittivity must be >= 1")
         if self.covered and (self.cover_height is None or self.cover_height <= 0):
             raise DegenerateGeometry("covered CPW requires cover_height > 0")
-
-    def effective_permittivity(self) -> float:
-        return cpw_effective_permittivity(self)
 
 
 def complete_elliptic_k(k: float) -> float:
@@ -177,16 +171,13 @@ class Propagation(NamedTuple):
     wavelength: float | None     # m; None at DC
 
 
-def line_propagation(spec, frequency: float) -> Propagation:
-    """Phase velocity and guided wavelength on a line.
-
-    `spec` is any line spec exposing effective_permittivity(), or a bare
-    effective permittivity.  At DC the wavelength is undefined and returned
+def line_propagation(eps_eff: float, frequency: float) -> Propagation:
+    """Phase velocity and guided wavelength on a line of effective
+    permittivity `eps_eff`.  At DC the wavelength is undefined and returned
     as None; the line still carries signal (velocity is defined).
     """
     if frequency < 0:
         raise ValueError("frequency must be >= 0")
-    eps_eff = spec if isinstance(spec, (int, float)) else spec.effective_permittivity()
     v = SPEED_OF_LIGHT / math.sqrt(eps_eff)
     if frequency == 0:
         return Propagation(v, None)

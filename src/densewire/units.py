@@ -134,6 +134,16 @@ def integer(minimum: int):
     return read
 
 
+def bounded(kind, low: float, strict: bool = False):
+    """Kind for a `kind` value >= `low`, or > `low` when `strict`."""
+    def read(value, where: str):
+        x = kind(value, where)
+        if x < low or (strict and x == low):
+            raise ConfigInvalid(where, f"must be {'>' if strict else '>='} {low:g}, got {value!r}")
+        return x
+    return read
+
+
 def raw(value, where: str):
     """Any JSON value, unchecked here; its reader checks it later."""
     return value

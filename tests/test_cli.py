@@ -8,6 +8,9 @@ from importlib import resources
 import pytest
 
 from densewire.cli import _write_atomic, main
+from densewire.config import parse_design_config
+from densewire.materials import default_catalog
+from densewire.thermal import controller_budget
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -98,15 +101,41 @@ class TestSubcommands:
                           "stop": "300um", "steps": 1}]
         config_file.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        code = main(["--config", str(config_file), "--out", str(out), "sweep"])
-        assert code == 0
-        assert main(["--config", str(config_file), "--out", str(out), "impedance"]) == 0
+        for command in ("sweep", "impedance", "scale"):
+            assert main(["--config", str(config_file), "--out", str(out), command]) == 0
         with open(out / "sweep_layout_hole_diameter.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1
-        direct = json.loads((out / "impedance.json").read_text())
-        # Sweep CSV cells carry floats at 12 significant digits.
-        assert rows[0]["coax_z_ohm"] == f'{direct["analysis"]["coax"]["z_ohm"]:.12g}'
+        impedance = json.loads((out / "impedance.json").read_text())["analysis"]
+        scale = json.loads((out / "scale.json").read_text())["analysis"]
+        coax, cpw, lateral, vertical = (impedance["coax"], impedance["cpw"],
+                                        scale["lateral"], scale["vertical"])
+        direct = {
+            "pin_outer_m": impedance["pin_outer_diameter_m"],
+            "coax_inner_m": coax["inner_diameter_m"],
+            "coax_outer_m": coax["outer_diameter_m"],
+            "coax_eps_r": coax["eps_r"],
+            "coax_z_ohm": coax["z_ohm"],
+            "cpw_z_ohm": cpw["z_ohm"],
+            "cpw_eps_eff": cpw["eps_eff"],
+            "lateral_n_qubits": lateral["n_qubits"],
+            "lateral_n_wires": lateral["n_wires"],
+            "lateral_limiting": lateral["limiting_factor"],
+            "lateral_crossover_m": lateral["crossover_length_m"],
+            "vertical_n_qubits": vertical["n_qubits"],
+            "vertical_n_wires": vertical["n_wires"],
+            "vertical_limiting": vertical["limiting_factor"],
+        }
+        cfg = parse_design_config(doc, default_catalog())
+        stage, count, tech = cfg.thermal.controllers[0]
+        budget = controller_budget(count, tech, cfg.stages.stage(stage))
+        direct.update(controller_total_w=budget.total, controller_margin=budget.margin)
+        # Sweep CSV cells carry floats at 12 significant digits, counts and
+        # labels as they are.
+        for column, value in direct.items():
+            cell = f"{value:.12g}" if isinstance(value, float) else str(value)
+            assert rows[0][column] == cell, column
+        assert list(rows[0])[2:] == list(direct)
 
     def test_paper_check_rows(self, tmp_path, capsys):
         code, out = run_cli(["paper-check"], tmp_path)
@@ -122,6 +151,15 @@ class TestSubcommands:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("overhead", ["0", "-3"])
+    def test_logical_overhead_below_1_is_a_usage_error(self, tmp_path, capsys, overhead):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scale", "--logical-overhead", overhead], tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --logical-overhead: must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_invalid_config_exits_1(self, tmp_path, config_file, capsys):
         doc = json.loads(config_file.read_text())
         doc["layout"]["qubit_pitch"] = "oops"

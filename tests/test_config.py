@@ -36,7 +36,7 @@ def test_default_config_parses(raw, catalog):
 
 def test_bond_geometry_derives_wire_pitch(raw, catalog):
     cfg = parse_design_config(raw, catalog)
-    lateral = cfg.lateral()
+    (lateral,) = (w for w in cfg.wiring if w.access == "lateral")
     assert lateral.provenance == "derived_from_bond_geometry"
     assert lateral.wire_pitch == pytest.approx(56e-6, rel=1e-12)
 
@@ -104,7 +104,7 @@ def test_sweep_end_points_take_the_swept_field_kind(raw, catalog):
                       "steps": 2},
                      {"parameter": "rf.band.1", "start": "1GHz", "stop": 2e9, "steps": 2}]
     sweeps = parse_design_config(raw, catalog).sweeps
-    assert [(s.start, s.stop) for s in sweeps] == [(2e-4, 0.3e-3), (1e9, 2e9)]
+    assert [(s.points[0], s.points[-1]) for s in sweeps] == [(2e-4, 0.3e-3), (1e9, 2e9)]
     raw["sweeps"] = [{"parameter": "pin_stack.core_diameter", "start": "auto",
                       "stop": "auto", "steps": 2}]
     with pytest.raises(ConfigInvalid, match=r"^sweeps\[0\]\.start: "):
@@ -133,12 +133,12 @@ def test_load_rejects_bad_json(tmp_path, catalog):
 
 class TestSetParameter:
     def test_sets_nested_value(self, raw):
-        out = set_parameter(raw, "layout.hole_diameter", 250e-6)
+        out = set_parameter(raw, ("layout", "hole_diameter"), 250e-6)
         assert out["layout"]["hole_diameter"] == 250e-6
         assert raw["layout"]["hole_diameter"] == "300um"  # original untouched
 
     def test_list_index_path(self, raw):
-        out = set_parameter(raw, "wiring.1.wire_pitch", 450e-6)
+        out = set_parameter(raw, ("wiring", 1, "wire_pitch"), 450e-6)
         assert out["wiring"][1]["wire_pitch"] == 450e-6
 
     def test_unknown_path(self, raw, catalog):
@@ -236,6 +236,11 @@ _BAD_INPUTS = [
     # layout.json columns of a 10^6 x 10^6 grid ask for 800 PB and 20 TB
     (("rf", "points"), 10**17, "rf", "rf.points"),
     (("layout", "array_side_count"), 10**6, "layout", "layout.array_side_count"),
+    # one step from 200 um to 300 um swept 200 um only; negative lengths
+    # passed, the position into layout.json
+    (("sweeps", 0, "steps"), 1, "sweep", "sweeps[0].steps"),
+    (("annotations", 0, "position"), "-50mm", "layout", "annotations[0].position"),
+    (("cpw", "cover_height"), "-5um", "impedance", "cpw.cover_height"),
 ]
 
 

@@ -175,7 +175,7 @@ def test_default_config_materials_exist_in_catalog(catalog):
                      .read_text("utf-8"))
     cfg = parse_design_config(raw, catalog)
     referenced = {name for name, _ in cfg.pin_stack.coatings}
-    referenced.add(cfg.interposer_dielectric)
+    referenced.add(cfg.coax.dielectric)
     referenced.update(path.material for _, path in cfg.thermal.paths)
     for name in referenced:
         assert name in catalog, name

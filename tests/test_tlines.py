@@ -161,6 +161,6 @@ class TestPropagation:
         assert v == SPEED_OF_LIGHT
 
     def test_dc_has_no_wavelength(self):
-        v, lam = line_propagation(CoaxSpec(100e-6, 200e-6, 3.0), 0.0)
+        v, lam = line_propagation(3.0, 0.0)
         assert lam is None
         assert v == pytest.approx(SPEED_OF_LIGHT / math.sqrt(3.0), rel=1e-12)
