@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import DesignConfig, load_design_config, parse_design_config, set_parameter
-from .errors import ConfigInvalid, DensewireError
+from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
 from .layout import export_layout, generate_layout, run_drc
 from .materials import MaterialCatalog, default_catalog, load_catalog
@@ -74,10 +74,6 @@ def _fits_in_memory(field: str, what: str):
         raise ConfigInvalid(field, f"{what} do not fit in memory") from None
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 class _Run:
     """Shared context: config, catalog, and artifact bookkeeping."""
 
@@ -98,20 +94,21 @@ class _Run:
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()
         self.artifacts: list[str] = []
 
-    def report_doc(self, analysis: dict) -> dict:
-        return {
-            "tool": "densewire",
-            "version": __version__,
-            "config_sha256": self.config_sha256,
-            "analysis": analysis,
-            "warnings": [],
-        }
-
     def write(self, name: str, text: str) -> Path:
         path = self.out_dir / name
         _write_atomic(path, text)
         self.artifacts.append(str(path))
         return path
+
+    def report(self, name: str, analysis: dict) -> Path:
+        """Write the JSON report `name`: `analysis` under the tool and config header."""
+        doc = {"tool": "densewire", "version": __version__, "config_sha256": self.config_sha256,
+               "analysis": analysis, "warnings": []}
+        try:
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:  # JSON has no inf or nan
+            raise OutOfRange(f"{name}: a result is not finite") from None
+        return self.write(name, text + "\n")
 
 
 def _scale_records(config: DesignConfig) -> dict:
@@ -142,7 +139,7 @@ def _cmd_scale(run: _Run, args) -> int:
         if rec.get("crossover_length_m") is not None:
             line += f" crossover={rec['crossover_length_m'] * 1e3:.6g}mm"
         print(line)
-    run.write("scale.json", _json_text(run.report_doc(records)))
+    run.report("scale.json", records)
     return 0
 
 
@@ -184,7 +181,7 @@ def _cmd_impedance(run: _Run, args) -> int:
         print(f"ribbon CPW: w={cpw['trace_width_m'] * 1e6:.6g}um "
               f"s={cpw['gap_m'] * 1e6:.6g}um Z={cpw['z_ohm']:.4g} ohm "
               f"eps_eff={cpw['eps_eff']:.4g}")
-    run.write("impedance.json", _json_text(run.report_doc(record)))
+    run.report("impedance.json", record)
     return 0
 
 
@@ -203,7 +200,7 @@ def _cmd_rf(run: _Run, args) -> int:
               f"{report.worst_s11_frequency / 1e9:.6g} GHz")
         run.write("rf_response.csv", response_csv(report.response))
         run.write("rf.s2p", touchstone(report.response))
-        run.write("rf.json", _json_text(run.report_doc(report.to_record())))
+        run.report("rf.json", report.to_record())
     return 0
 
 
@@ -224,8 +221,7 @@ def _cmd_layout(run: _Run, args) -> int:
             run.write("layout.json", export_layout(layout, "json", config.layout))
         if args.format in ("svg", "both"):
             run.write("layout.svg", export_layout(layout, "svg", config.layout))
-    run.write("drc.json", _json_text(run.report_doc({"findings": drc.to_records(),
-                                                     "passed": drc.passed})))
+    run.report("drc.json", {"findings": drc.to_records(), "passed": drc.passed})
     return 0
 
 
@@ -235,8 +231,7 @@ def _cmd_budget(run: _Run, args) -> int:
     print(report.to_text(), end="")
     run.write("budget.csv", report.to_csv())
     run.write("budget.txt", report.to_text())
-    run.write("budget.json", _json_text(run.report_doc(
-        {"stages": [r.to_record() for r in report.rows]})))
+    run.report("budget.json", {"stages": [r.to_record() for r in report.rows]})
     return 0
 
 
@@ -300,7 +295,7 @@ def _cmd_sweep(run: _Run, args) -> int:
     for decl in run.config.sweeps:
         slug = decl.parameter.replace(".", "_")
         path = run.write(f"sweep_{slug}.csv", sweep_csv(run, decl))
-        print(f"{decl.parameter}: {decl.steps} points -> {path}")
+        print(f"{decl.parameter}: {len(decl.points)} points -> {path}")
     return 0
 
 
@@ -313,9 +308,7 @@ def _cmd_paper_check(run: _Run, args) -> int:
               f"({r.tolerance}) {r.description}")
         failed += 0 if r.passed else 1
     print(f"{len(rows) - failed}/{len(rows)} golden values reproduced")
-    run.write("paper_check.json", _json_text(run.report_doc(
-        {"rows": [r.to_record() for r in rows],
-         "passed": failed == 0})))
+    run.report("paper_check.json", {"rows": [r.to_record() for r in rows], "passed": failed == 0})
     return 0 if failed == 0 else 2
 
 

@@ -17,7 +17,6 @@ Derivations tie the sections together the way the hardware does:
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import units
 from .errors import ConfigInvalid
-from .layout import Annotation, LayoutConfig
+from .layout import ANNOTATION, Annotation, LayoutConfig
 from .materials import MaterialCatalog, default_catalog
 from .rfnet import RfSettings
 from .scaling import BondWireGeometry, QubitArraySpec, WiringArchitecture, wire_pitch_from_bonds
@@ -44,7 +43,6 @@ from .units import build, flag, integer, listof, number, optional, pair, raw, se
 @dataclass(frozen=True)
 class SweepDecl:
     parameter: str
-    steps: int
     points: tuple[float, ...]  # the swept values, start to stop
     keys: tuple[str | int, ...]  # `parameter` as keys into the raw config; ints index lists
 
@@ -117,8 +115,7 @@ _SCHEMA = section(
     # Sweep end-points are read with the swept field's kind in _sweeps.
     sweeps=optional(listof(section(
         parameter=string, start=raw, stop=raw, steps=integer(1)))),
-    annotations=optional(listof(section(cable=string, kind=string,
-                                        position=units.bounded(length, 0.0)))),
+    annotations=optional(listof(ANNOTATION)),
 )
 
 
@@ -193,7 +190,7 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
                 not v.is_integer() for v in points):
             raise ConfigInvalid(f"{where}.steps", f"{steps} steps from {start} to {stop} give "
                                 f"non-integral points of integer field {d['parameter']}")
-        out.append(SweepDecl(d["parameter"], steps, points, tuple(keys)))
+        out.append(SweepDecl(d["parameter"], points, tuple(keys)))
     return tuple(out)
 
 
@@ -258,12 +255,7 @@ def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> De
 
 
 def load_design_config(path: str | Path, catalog: MaterialCatalog | None = None) -> DesignConfig:
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
-        raise ConfigInvalid(str(path), f"not valid JSON: {exc}") from None
-    return parse_design_config(raw, catalog)
+    return parse_design_config(units.load_json(path), catalog)
 
 
 def set_parameter(raw: dict, keys: tuple[str | int, ...], value: float) -> dict:

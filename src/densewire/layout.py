@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import ConfigInvalid, UnsupportedFormat
 from .materials import MaterialCatalog, default_catalog
 from .tlines import PinStack, pin_outer_diameter
-from .units import bounded, integer, listof, number, optional, raw, section, string
+from .units import bounded, integer, listof, number, optional, parse_length, raw, section, string
 
 ERROR = "error"
 WARNING = "warning"
@@ -73,6 +73,10 @@ class Annotation:
     cable: str
     kind: str
     position: float  # distance along the cable from the pin row, meters
+
+
+# One annotation as the design config and layout.json both give it.
+ANNOTATION = section(cable=string, kind=string, position=bounded(parse_length, 0.0))
 
 
 class SiteGrid(Sequence):
@@ -327,7 +331,7 @@ _LAYOUT_JSON = section(
     grid=section(side_count=integer(1), pitch=_positive, channel_width=_positive,
                  channel_depth=_positive),
     pads=_SITE_COLUMNS, solder_balls=_SITE_COLUMNS,
-    annotations=listof(section(cable=string, kind=string, position=number)),
+    annotations=listof(ANNOTATION),
     config=optional(raw))
 
 

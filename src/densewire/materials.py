@@ -8,6 +8,7 @@ Catalogs are immutable after load and safe to share across workers.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigInvalid, NotAConductor, OutOfRange, UnknownMaterial
-from .units import build, listof, number, optional, pair, section, string
+from .units import build, listof, load_json, number, optional, pair, section, string
 
 CONDUCTOR = "conductor"
 DIELECTRIC = "dielectric"
@@ -97,12 +98,7 @@ _CATALOG_SCHEMA = section(
 
 def load_catalog(path: str | Path) -> MaterialCatalog:
     """Load a catalog from a JSON file; see data/materials.json for the schema."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
-        raise ConfigInvalid(str(path), f"not valid JSON: {exc}") from None
-    return _catalog_from_dict(raw, str(path))
+    return _catalog_from_dict(load_json(path), str(path))
 
 
 def _catalog_from_dict(raw, where: str) -> MaterialCatalog:
@@ -155,18 +151,10 @@ def interpolate_conductivity(m: Material, temperature: float) -> float:
             f"{m.name}: T={temperature} K outside table range "
             f"[{table[0][0]}, {table[-1][0]}] K"
         )
-    lo, hi = 0, len(table) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if table[mid][0] <= temperature:
-            lo = mid
-        else:
-            hi = mid
-    t0, k0 = table[lo]
-    t1, k1 = table[hi]
+    i = bisect.bisect_right(table, temperature, key=lambda row: row[0])
+    t0, k0 = table[i - 1]  # t0 <= temperature < t1
     if temperature == t0:
         return k0
-    if temperature == t1:
-        return k1
+    t1, k1 = table[i]
     w = (math.log(temperature) - math.log(t0)) / (math.log(t1) - math.log(t0))
     return math.exp(math.log(k0) + w * (math.log(k1) - math.log(k0)))

@@ -16,6 +16,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import OutOfRange
 from .tlines import SPEED_OF_LIGHT
 
 
@@ -265,8 +266,11 @@ def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
     elements = build_signal_path(rf, pin_length, interposer_z,
                                  pin_eps_eff=pin_eps_eff, feed_eps_eff=feed_eps_eff)
     freqs = np.linspace(*rf.band, rf.points)
-    net = cascade(elements, freqs, z_src=rf.system_impedance, z_load=rf.system_impedance)
-    resp = to_s_parameters(net)
+    with np.errstate(all="ignore"):  # a result out of the float range is reported below
+        net = cascade(elements, freqs, z_src=rf.system_impedance, z_load=rf.system_impedance)
+        resp = to_s_parameters(net)
+    if not all(np.isfinite(s).all() for s in (resp.s11, resp.s21, resp.s12, resp.s22)):
+        raise OutOfRange("the S-parameters are not finite over the band")
     mag = np.abs(resp.s11)
     i = int(np.argmax(mag))
     return MismatchReport(

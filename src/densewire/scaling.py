@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PitchConditionViolated
+from .errors import OutOfRange, PitchConditionViolated
 
 LATERAL = "lateral"
 VERTICAL = "vertical"
@@ -41,6 +41,21 @@ def _floor_count(x: float) -> int:
     return int(math.floor(snap_count(x)))
 
 
+def _squared(x: float) -> float:
+    """x ** 2, or inf beyond the float range."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _wire_count(x: float) -> float:
+    if not math.isfinite(x):
+        raise OutOfRange("the wire count leaves the float range: the wire pitch is too fine "
+                         "for the chip side")
+    return snap_count(x)
+
+
 @dataclass(frozen=True)
 class QubitArraySpec:
     """Square array: center-to-center qubit pitch and chip side length, meters."""
@@ -53,6 +68,8 @@ class QubitArraySpec:
             raise ValueError("qubit_pitch must be > 0")
         if self.chip_side < self.qubit_pitch:
             raise ValueError("chip_side must be >= qubit_pitch")
+        if not math.isfinite(_squared(self.chip_side / self.qubit_pitch)):
+            raise ValueError("qubit count (chip_side / qubit_pitch)^2 is not finite")
 
 
 @dataclass(frozen=True)
@@ -155,7 +172,7 @@ def lateral_crossover_length(qubit_pitch: float, wire_pitch: float,
     """
     if qubit_pitch <= 0 or wire_pitch <= 0:
         raise ValueError("pitches must be > 0")
-    return 4.0 * qubit_pitch ** 2 / (wires_per_qubit * wire_pitch)
+    return 4.0 * _squared(qubit_pitch) / (wires_per_qubit * wire_pitch)
 
 
 def lateral_scaling_report(spec: QubitArraySpec, arch: WiringArchitecture) -> ScalingReport:
@@ -163,7 +180,7 @@ def lateral_scaling_report(spec: QubitArraySpec, arch: WiringArchitecture) -> Sc
     if arch.access != LATERAL:
         raise ValueError("architecture is not lateral")
     exact_nq = snap_count((spec.chip_side / spec.qubit_pitch) ** 2)
-    exact_nw = snap_count(4.0 * spec.chip_side / arch.wire_pitch)
+    exact_nw = _wire_count(4.0 * spec.chip_side / arch.wire_pitch)
     limiting = WIRE_COUNT if exact_nq * arch.wires_per_qubit > exact_nw else QUBIT_SIZE
     return ScalingReport(
         access=LATERAL,
@@ -193,7 +210,7 @@ def vertical_scaling_report(spec: QubitArraySpec, arch: WiringArchitecture) -> S
             f"exceeds qubit pitch {spec.qubit_pitch} m"
         )
     exact_nq = snap_count((spec.chip_side / spec.qubit_pitch) ** 2)
-    exact_nw = snap_count((spec.chip_side / arch.wire_pitch) ** 2)
+    exact_nw = _wire_count(_squared(spec.chip_side / arch.wire_pitch))
     return ScalingReport(
         access=VERTICAL,
         n_qubits=_floor_count(exact_nq),

@@ -12,12 +12,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import OutOfRange
 from .materials import MaterialCatalog, interpolate_conductivity
 
 LORENZ_NUMBER = 2.44e-8  # W ohm / K^2
 
 # Allow exact-equality budgets (total == cooling power) despite float noise.
 _FEAS_REL = 1e-12
+
+
+def _verdict(total: float, cooling_power: float) -> tuple[bool, float]:
+    """Whether a load of `total` watts fits the cooling power, and the margin
+    cooling_power / total (inf when nothing loads the stage)."""
+    if total == 0.0:
+        return True, math.inf
+    return total <= cooling_power * (1.0 + _FEAS_REL), cooling_power / total
 
 
 @dataclass(frozen=True)
@@ -115,8 +124,7 @@ def controller_budget(n_qubits: int, tech: ControllerTech, stage: Stage) -> Cont
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     total = n_qubits * tech.power_per_qubit
-    feasible = total <= stage.cooling_power * (1.0 + _FEAS_REL)
-    return ControllerBudget(total=total, feasible=feasible, margin=stage.cooling_power / total)
+    return ControllerBudget(total, *_verdict(total, stage.cooling_power))
 
 
 @dataclass(frozen=True)
@@ -245,11 +253,10 @@ class StageReport:
         lines = ["stage,temperature_k,cooling_power_w,controller_w,conduction_w,"
                  "total_w,feasible,margin,methods"]
         for r in self.rows:
-            margin = "inf" if r.margin == float("inf") else f"{r.margin:.12g}"
             lines.append(
                 f"{r.stage},{r.temperature:.12g},{r.cooling_power:.12g},"
                 f"{r.controller_watts:.12g},{r.conduction_watts:.12g},"
-                f"{r.total_watts:.12g},{str(r.feasible).lower()},{margin},"
+                f"{r.total_watts:.12g},{str(r.feasible).lower()},{r.margin:.12g},"
                 f"{'+'.join(r.methods)}"
             )
         return "\n".join(lines) + "\n"
@@ -258,11 +265,10 @@ class StageReport:
         head = f"{'stage':<8}{'T [K]':>10}{'cooling [W]':>14}{'load [W]':>14}{'margin':>10}  verdict"
         lines = [head, "-" * len(head)]
         for r in self.rows:
-            margin = "inf" if r.margin == float("inf") else f"{r.margin:.3g}"
             verdict = "ok" if r.feasible else "OVER BUDGET"
             lines.append(
                 f"{r.stage:<8}{r.temperature:>10.4g}{r.cooling_power:>14.4g}"
-                f"{r.total_watts:>14.4g}{margin:>10}  {verdict}"
+                f"{r.total_watts:>14.4g}{r.margin:>10.3g}  {verdict}"
             )
         return "\n".join(lines) + "\n"
 
@@ -291,11 +297,9 @@ def stage_report(arch: ThermalArchitecture, stages: StageModel,
                 conduction_w += wiedemann_franz_load(path)
                 methods.append("wiedemann-franz")
         total = controller_w + conduction_w
-        if total == 0.0:
-            feasible, margin = True, float("inf")
-        else:
-            feasible = total <= s.cooling_power * (1.0 + _FEAS_REL)
-            margin = s.cooling_power / total
+        if not math.isfinite(total):
+            raise OutOfRange(f"stage {s.name}: load of {total} W is not finite")
+        feasible, margin = _verdict(total, s.cooling_power)
         rows.append(StageRow(
             stage=s.name,
             temperature=s.temperature,

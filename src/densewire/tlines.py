@@ -87,6 +87,10 @@ class CpwSpec:
             raise DegenerateGeometry("substrate permittivity must be >= 1")
         if self.covered and (self.cover_height is None or self.cover_height <= 0):
             raise DegenerateGeometry("covered CPW requires cover_height > 0")
+        for name, k in zip(("k", "k3"), _cpw_moduli(self)):
+            if k is not None and not (0.0 < k < 1.0 and 0.0 < _complement(k) < 1.0):
+                raise DegenerateGeometry(f"conformal-mapping modulus {name} = {k!r}: {name} or "
+                                         "its complement rounds to 0 or 1")
 
 
 def complete_elliptic_k(k: float) -> float:
@@ -106,10 +110,14 @@ def complete_elliptic_k(k: float) -> float:
     return math.pi / (2.0 * a)
 
 
+def _complement(k: float) -> float:
+    """The complementary modulus k' = sqrt(1 - k^2)."""
+    return math.sqrt(max(0.0, 1.0 - k * k))
+
+
 def _k_ratio(k: float) -> float:
     """K(k)/K(k') with k' the complementary modulus."""
-    kp = math.sqrt(max(0.0, 1.0 - k * k))
-    return complete_elliptic_k(k) / complete_elliptic_k(kp)
+    return complete_elliptic_k(k) / complete_elliptic_k(_complement(k))
 
 
 def coax_impedance(spec: CoaxSpec) -> float:
@@ -137,7 +145,8 @@ def _cpw_moduli(spec: CpwSpec) -> tuple[float, float | None]:
     if not spec.covered:
         return k, None
     h = spec.cover_height
-    k3 = math.tanh(math.pi * w / (4.0 * h)) / math.tanh(math.pi * (w + 2.0 * s) / (4.0 * h))
+    outer = math.tanh(math.pi * (w + 2.0 * s) / (4.0 * h))  # 0 only where the argument underflows
+    k3 = math.tanh(math.pi * w / (4.0 * h)) / outer if outer else 0.0
     return k, k3
 
 

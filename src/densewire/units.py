@@ -8,13 +8,15 @@ avoid silent unit mistakes.
 
 A field kind is a callable ``kind(value, where) -> parsed`` that raises
 ``ConfigInvalid(where)`` for any value it cannot accept; ``where`` is the
-dotted path of the field.  The ``parse_<dimension>`` functions are kinds,
-and ``section`` nests kinds into a declarative schema of a JSON object.
+dotted path of the field.  The ``parse_<dimension>`` kinds are built by
+``quantity``, and ``section`` nests kinds into a declarative schema of a
+JSON object.
 Container kinds carry ``child(key)``, the kind of one member or None.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -77,32 +79,31 @@ def parse_quantity(value, units: dict[str, float], field: str = "value") -> floa
     return magnitude * units[suffix]
 
 
-def parse_length(value, field: str = "length") -> float:
-    return parse_quantity(value, LENGTH_UNITS, field)
+def quantity(units: dict[str, float], name: str):
+    """The kind ``parse_<name>``: a quantity in `units`, read by `parse_quantity`."""
+    def read(value, field: str = name) -> float:
+        return parse_quantity(value, units, field)
+    read.__name__ = f"parse_{name}"  # what reprs and test ids show
+    return read
 
 
-def parse_area(value, field: str = "area") -> float:
-    return parse_quantity(value, AREA_UNITS, field)
+parse_length = quantity(LENGTH_UNITS, "length")
+parse_area = quantity(AREA_UNITS, "area")
+parse_frequency = quantity(FREQUENCY_UNITS, "frequency")
+parse_power = quantity(POWER_UNITS, "power")
+parse_temperature = quantity(TEMPERATURE_UNITS, "temperature")
+parse_resistance = quantity(RESISTANCE_UNITS, "resistance")
+parse_inductance = quantity(INDUCTANCE_UNITS, "inductance")
 
 
-def parse_frequency(value, field: str = "frequency") -> float:
-    return parse_quantity(value, FREQUENCY_UNITS, field)
-
-
-def parse_power(value, field: str = "power") -> float:
-    return parse_quantity(value, POWER_UNITS, field)
-
-
-def parse_temperature(value, field: str = "temperature") -> float:
-    return parse_quantity(value, TEMPERATURE_UNITS, field)
-
-
-def parse_resistance(value, field: str = "resistance") -> float:
-    return parse_quantity(value, RESISTANCE_UNITS, field)
-
-
-def parse_inductance(value, field: str = "inductance") -> float:
-    return parse_quantity(value, INDUCTANCE_UNITS, field)
+def load_json(path) -> object:
+    """The JSON document in the file at `path`; malformed JSON or text that
+    is not UTF-8 raises ConfigInvalid naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:
+        raise ConfigInvalid(str(path), f"not valid JSON: {exc}") from None
 
 
 def _finite(value, where: str) -> float:

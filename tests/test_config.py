@@ -176,6 +176,7 @@ _STAGES = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
 _LATERAL = [{"access": "lateral", "wire_pitch": "56um"}, {"access": "vertical", "wire_pitch": "400um"},
             {"access": "lateral", "wire_pitch": "100um"}]
 
+_COVERED_CPW = {"trace_width": "10um", "gap": "6um", "substrate_eps_r": 11.45, "covered": True}
 _SIDE_SWEEP = {"parameter": "layout.array_side_count", "start": 2, "stop": 4, "steps": 3}
 _WF_PATH = {"stage": "10mK", "material": "Al", "cross_section_area": "1um2", "length": "1mm",
             "t_hot": "3K", "residual_resistivity": 1e-10}
@@ -241,6 +242,15 @@ _BAD_INPUTS = [
     (("sweeps", 0, "steps"), 1, "sweep", "sweeps[0].steps"),
     (("annotations", 0, "position"), "-50mm", "layout", "annotations[0].position"),
     (("cpw", "cover_height"), "-5um", "impedance", "cpw.cover_height"),
+    # tracebacks at extreme magnitudes: a qubit count beyond the float range,
+    # also at a sweep point; a CPW whose conformal-mapping modulus k, or the
+    # covered line's k3, rounds to 0 or 1
+    (("qubit_array", "qubit_pitch"), "1e-300um", "scale", "qubit_array"),
+    (("sweeps", 1, "start"), "1e300mm", "sweep", "qubit_array"),
+    (("cpw", "gap"), "1e-300um", "impedance", "cpw"),
+    (("cpw",), _COVERED_CPW | {"cover_height": "1e-12um"}, "impedance", "cpw"),
+    (("cpw",), _COVERED_CPW | {"trace_width": "1e-300um", "gap": "1e-300um", "cover_height": 1e300},
+     "impedance", "cpw"),  # k3 = 0/0 once both tanh arguments underflow
 ]
 
 
@@ -250,6 +260,39 @@ def test_bad_input_exits_1_naming_field(default_raw, tmp_path, path, value, comm
     code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
     assert code == 1
     assert err.startswith(f"error: {field}: "), err
+
+
+# Each row: (mutated leaf, value, subcommand, the start of the exit-2 message).
+# Each ended in a traceback; the RF and budget rows first wrote artifacts
+# holding nan or inf.
+_NON_FINITE_RESULTS = [
+    (("wiring", 1, "wire_pitch"), "1e-300um", "scale", "the wire count leaves the float range"),
+    (("rf", "system_impedance"), "1e300ohm", "rf", "the S-parameters are not finite"),
+    (("rf", "bond_inductance"), "1e300H", "rf", "the S-parameters are not finite"),
+    (("thermal", "paths", 0, "cross_section_area"), 1e300, "budget",
+     "stage 10mK: load of inf W is not finite"),
+]
+
+
+@pytest.mark.parametrize("path,value,command,message", _NON_FINITE_RESULTS,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _, _ in _NON_FINITE_RESULTS])
+def test_non_finite_result_exits_2_writing_nothing(default_raw, tmp_path, path, value, command,
+                                                   message):
+    code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
+    assert code == 2
+    assert err.startswith(f"error: {message}"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_report_value_exits_2(raw, tmp_path):
+    # One qubit of pitch 1e200 m: the counts are finite, but the lateral
+    # crossover length 4 * pitch^2 / wire_pitch is not.
+    raw["qubit_array"] = {"qubit_pitch": 1e200, "chip_side": 1e200}
+    raw["wiring"] = [{"access": "lateral", "wire_pitch": "56um"}]
+    code, err = _run_cli(raw, "scale", tmp_path)
+    assert code == 2
+    assert err.startswith("error: scale.json: a result is not finite"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_path_without_conductivity_data_exits_2(raw, tmp_path):
@@ -316,3 +359,36 @@ def test_any_single_leaf_mutation_exits_cleanly(leaf, value, command):
     assert code in (0, 1, 2)
     if code == 1:
         assert _FIELD_PATH.match(err), err
+
+
+# Each magnitude in the leaf's own unit and as a bare SI number.
+_EXTREMES = ("0", "-1", "1e12", "1e-12", "1e300", "1e-300")
+_UNIT = re.compile(r"^[-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?([a-zA-Zµ]\w*)$")
+
+
+def _value_at(raw: dict, path: tuple):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def test_extreme_magnitudes_exit_cleanly(tmp_path):
+    """Every leaf but the integer counts, each set to every extreme, through
+    each subcommand that reads the config.  A count is left out: 1e12 of
+    them builds a huge grid or chain."""
+    problems = []
+    for leaf in _leaves(_DEFAULT_RAW):
+        default = _value_at(_DEFAULT_RAW, leaf)
+        if type(default) is int:
+            continue
+        unit = _UNIT.match(str(default))
+        for value in [float(m) for m in _EXTREMES] + [m + unit[1] for m in _EXTREMES if unit]:
+            raw = _mutated(_DEFAULT_RAW, leaf, value)
+            for command in ("scale", "impedance", "rf", "budget", "sweep", "layout"):
+                try:
+                    code, err = _run_cli(raw, command, tmp_path)
+                except Exception as exc:
+                    code, err = "traceback", repr(exc)
+                if code not in (0, 1, 2) or (code == 1 and not _FIELD_PATH.match(err)):
+                    problems.append((".".join(map(str, leaf)), value, command, code, err))
+    assert not problems, problems

@@ -342,6 +342,10 @@ def _metres_as_mm(doc):
     doc["units"] = "mm"
 
 
+def _negative_position(doc):
+    doc["annotations"] = [{"cable": "cable-000", "kind": "ir-filter", "position": -0.05}]
+
+
 def _huge_side(doc):
     doc["grid"]["side_count"] = 10**9  # rejected on column length, before any site is built
 
@@ -356,6 +360,7 @@ class TestReader:
         (_short_column, "pads.y"),
         (_metres_as_mm, "units"),
         (_huge_side, "pads.x"),
+        (_negative_position, "annotations[0].position"),
     ])
     def test_rejects_naming_the_field(self, damage, field):
         doc = json.loads(layout_to_json(generate_layout(NOMINAL), NOMINAL))
