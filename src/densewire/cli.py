@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -278,11 +279,15 @@ def _sweep_records(config: DesignConfig) -> dict:
     return records
 
 
-def sweep_csv(run: _Run, decl) -> str:
-    """One CSV per sweep declaration: a row of standard outputs per point."""
+def sweep_csv(run: _Run, decl, where: str) -> str:
+    """One CSV per sweep declaration: a row of standard outputs per point.
+    A point the config reader rejects is a config error at `where`."""
     lines = [",".join(("parameter", "value", *(c for c, _, _ in _SWEEP_COLUMNS)))]
     for v in decl.points:
-        cfg = parse_design_config(set_parameter(run.config.raw, decl.keys, v), run.catalog)
+        try:
+            cfg = parse_design_config(set_parameter(run.config.raw, decl.keys, v), run.catalog)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(where, f"at {decl.parameter} = {v:g}: {exc}") from None
         records = _sweep_records(cfg)
         lines.append(",".join((decl.parameter, _fmt_cell(v), *(
             _fmt_cell((records.get(name) or {}).get(key)) for _, name, key in _SWEEP_COLUMNS))))
@@ -292,9 +297,11 @@ def sweep_csv(run: _Run, decl) -> str:
 def _cmd_sweep(run: _Run, args) -> int:
     if not run.config.sweeps:
         raise ConfigInvalid("sweeps", "no sweep declarations in the config")
-    for decl in run.config.sweeps:
+    # Every point runs before the first write, so a failing one writes nothing.
+    texts = [sweep_csv(run, decl, f"sweeps[{i}]") for i, decl in enumerate(run.config.sweeps)]
+    for decl, text in zip(run.config.sweeps, texts):
         slug = decl.parameter.replace(".", "_")
-        path = run.write(f"sweep_{slug}.csv", sweep_csv(run, decl))
+        path = run.write(f"sweep_{slug}.csv", text)
         print(f"{decl.parameter}: {len(decl.points)} points -> {path}")
     return 0
 
@@ -323,6 +330,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first call of `main`, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densewire",
@@ -359,8 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         run = _Run(args)
         return args.func(run, args)

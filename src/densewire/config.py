@@ -16,7 +16,6 @@ Derivations tie the sections together the way the hardware does:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,11 +159,15 @@ def _thermal(doc: dict, stages: StageModel, cat: MaterialCatalog) -> ThermalArch
 
 
 def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
-    """Each sweep's path must name a numeric field that this config sets."""
+    """Each sweep's path must name a numeric field that this config sets,
+    outside `sweeps`: a point's config leaves the sweeps out."""
     out = []
     for i, d in enumerate(entries):
         where, kind, node, keys = f"sweeps[{i}]", _SCHEMA, raw, []
-        for key in d["parameter"].split("."):
+        path = d["parameter"].split(".")
+        if path[0] == "sweeps":
+            raise ConfigInvalid(f"{where}.parameter", "a sweep cannot sweep the sweeps")
+        for key in path:
             kind = getattr(kind, "child", lambda _: None)(key)
             if kind is None:
                 raise ConfigInvalid(f"{where}.parameter", f"no config field {d['parameter']!r}")
@@ -259,15 +262,19 @@ def load_design_config(path: str | Path, catalog: MaterialCatalog | None = None)
 
 
 def set_parameter(raw: dict, keys: tuple[str | int, ...], value: float) -> dict:
-    """Copy `raw` with the field at `keys` set to `value` (SI units).
+    """`raw` without its `sweeps`, with the field at `keys` set to `value`
+    (SI units): the raw config of one sweep point.
 
     `keys` are a sweep's `SweepDecl.keys`, which parsing has already
-    checked reach a field set in `raw`.
+    checked reach a field set in `raw` outside `sweeps`.  Only the dicts
+    and lists along `keys` are copied; every other section is shared with
+    `raw`, which parsing never writes to.
     """
-    out = copy.deepcopy(raw)
+    out = {k: v for k, v in raw.items() if k != "sweeps"}
     *parents, last = keys
     node = out
     for key in parents:
+        node[key] = node[key].copy()
         node = node[key]
     node[last] = value
     return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 from .errors import ConfigInvalid, DensewireError
 
@@ -129,6 +130,8 @@ def integer(minimum: int):
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or (isinstance(value, float) and not value.is_integer())):
             raise ConfigInvalid(where, f"expected an integer, got {value!r}")
+        if abs(value) > sys.float_info.max:  # every count must convert to float
+            raise ConfigInvalid(where, f"magnitude exceeds the float range ({sys.float_info.max:g})")
         if value < minimum:
             raise ConfigInvalid(where, f"must be >= {minimum}, got {value!r}")
         return int(value)

@@ -198,6 +198,31 @@ class TestErrors:
         assert code == 2
 
 
+class TestParserReuse:
+    """`main` builds its parser once per process; no call may leak into the next."""
+
+    def test_option_value_does_not_persist(self, tmp_path, capsys):
+        assert run_cli(["scale", "--logical-overhead", "5"], tmp_path, "a")[0] == 0
+        code, out = run_cli(["scale"], tmp_path, "b")
+        assert code == 0
+        doc = json.loads((out / "scale.json").read_text())
+        assert {r["logical_overhead"] for r in doc["analysis"].values()} == {2000}
+
+    def test_format_choice_does_not_persist(self, tmp_path, capsys):
+        assert run_cli(["layout", "--format", "svg"], tmp_path, "a")[0] == 0
+        code, out = run_cli(["layout"], tmp_path, "b")
+        assert code == 0
+        assert (out / "layout.json").exists() and (out / "layout.svg").exists()
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["scale", "--bogus"], tmp_path, "a")
+        assert exc.value.code == 2
+        code, out = run_cli(["impedance"], tmp_path, "b")
+        assert code == 0
+        assert (out / "impedance.json").exists()
+
+
 class TestWrite:
     def test_encoding_never_holds_the_whole_text(self, tmp_path, traced_peak):
         text = "0123456789abcdef\n" * 470_589  # 8 MB of ASCII

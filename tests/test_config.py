@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densewire import config as config_module
 from densewire.cli import main
 from densewire.config import RfSettings, load_design_config, parse_design_config, set_parameter
 from densewire.errors import ConfigInvalid
@@ -141,6 +142,16 @@ class TestSetParameter:
         out = set_parameter(raw, ("wiring", 1, "wire_pitch"), 450e-6)
         assert out["wiring"][1]["wire_pitch"] == 450e-6
 
+    def test_copies_only_the_path_and_drops_the_sweeps(self, raw):
+        before = copy.deepcopy(raw)
+        out = set_parameter(raw, ("wiring", 1, "wire_pitch"), 450e-6)
+        assert "sweeps" not in out
+        assert out["wiring"][1]["wire_pitch"] == 450e-6
+        assert raw == before
+        assert out["wiring"] is not raw["wiring"] and out["wiring"][1] is not raw["wiring"][1]
+        assert out["wiring"][0] is raw["wiring"][0]
+        assert all(out[key] is raw[key] for key in out if key != "wiring")
+
     def test_unknown_path(self, raw, catalog):
         # Parsing rejects the path, so set_parameter never sees it.
         for path in ("layout.nope", "wiring.7.wire_pitch"):
@@ -148,6 +159,29 @@ class TestSetParameter:
             with pytest.raises(ConfigInvalid) as err:
                 parse_design_config(raw, catalog)
             assert err.value.field == "sweeps[0].parameter"
+
+
+def _covered_cpw_two_sweeps(raw: dict) -> dict:
+    raw["cpw"] = _COVERED_CPW | {"cover_height": "50um"}
+    raw["sweeps"] = [{"parameter": "cpw.cover_height", "start": "20um", "stop": "80um", "steps": 4},
+                     {"parameter": "wiring.1.wire_pitch", "start": "300um", "stop": "500um",
+                      "steps": 3}]
+    return raw
+
+
+@pytest.mark.parametrize("variant", [lambda raw: raw, _covered_cpw_two_sweeps],
+                         ids=["built-in", "covered-cpw-two-sweeps"])
+def test_parsing_never_writes_to_raw(raw, catalog, variant):
+    # Sweep points share every section off the swept path with the run's raw
+    # config, so neither the run's parse nor a point's may write to it.
+    raw = variant(raw)
+    before = copy.deepcopy(raw)
+    cfg = parse_design_config(raw, catalog)
+    assert raw == before
+    for decl in cfg.sweeps:
+        for v in decl.points:
+            parse_design_config(set_parameter(raw, decl.keys, v), catalog)
+    assert raw == before
 
 
 def _mutated(raw: dict, path: tuple, value) -> dict:
@@ -246,11 +280,13 @@ _BAD_INPUTS = [
     # also at a sweep point; a CPW whose conformal-mapping modulus k, or the
     # covered line's k3, rounds to 0 or 1
     (("qubit_array", "qubit_pitch"), "1e-300um", "scale", "qubit_array"),
-    (("sweeps", 1, "start"), "1e300mm", "sweep", "qubit_array"),
+    (("sweeps", 1, "start"), "1e300mm", "sweep", "sweeps[1]"),
     (("cpw", "gap"), "1e-300um", "impedance", "cpw"),
     (("cpw",), _COVERED_CPW | {"cover_height": "1e-12um"}, "impedance", "cpw"),
     (("cpw",), _COVERED_CPW | {"trace_width": "1e-300um", "gap": "1e-300um", "cover_height": 1e300},
      "impedance", "cpw"),  # k3 = 0/0 once both tanh arguments underflow
+    # a count beyond the float range ended in OverflowError
+    (("thermal", "controllers", 0, "count"), 10**400, "budget", "thermal.controllers[0].count"),
 ]
 
 
@@ -309,6 +345,37 @@ def test_unknown_sweep_parameter_names_declaration(raw, tmp_path):
     code, err = _run_cli(raw, "sweep", tmp_path)
     assert code == 1
     assert err.startswith("error: sweeps[1].parameter: "), err
+
+
+def test_failing_sweep_point_names_its_sweep_and_writes_nothing(raw, tmp_path):
+    # sweeps[0] alone runs clean; a point of sweeps[1] fails the qubit array.
+    raw["sweeps"][1]["start"] = "1e300mm"
+    code, err = _run_cli(raw, "sweep", tmp_path)
+    assert code == 1
+    assert err.startswith("error: sweeps[1]: at qubit_array.chip_side = 1e+297: qubit_array: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["scale", "impedance", "rf", "layout", "budget", "sweep",
+                                     "paper-check"])
+def test_a_sweep_cannot_sweep_the_sweeps(raw, tmp_path, command):
+    raw["sweeps"][1]["parameter"] = "sweeps.0.steps"
+    code, err = _run_cli(raw, command, tmp_path)
+    assert code == 1
+    assert err.startswith("error: sweeps[1].parameter: "), err
+
+
+def test_sweeps_are_resolved_once_per_run(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(entries, raw):
+        calls.append(len(entries))
+        return resolve(entries, raw)
+
+    resolve = config_module._sweeps
+    monkeypatch.setattr(config_module, "_sweeps", counted)
+    assert main(["--out", str(tmp_path), "sweep"]) == 0
+    assert [n for n in calls if n] == [2]  # the run's own parse; no sweep point reads them
 
 
 def test_integral_sweep_of_an_integer_field(raw, tmp_path):
@@ -372,23 +439,30 @@ def _value_at(raw: dict, path: tuple):
     return raw
 
 
+def _field(path: tuple) -> str:
+    """The field path an error names for the leaf at `path`: `a.b[0].c`."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
 def test_extreme_magnitudes_exit_cleanly(tmp_path):
-    """Every leaf but the integer counts, each set to every extreme, through
-    each subcommand that reads the config.  A count is left out: 1e12 of
-    them builds a huge grid or chain."""
+    """Every leaf, each set to every extreme, through each subcommand that
+    reads the config.  An integer count takes 10**400 only, which must be
+    rejected naming the count: 1e12 of them builds a huge grid or chain."""
     problems = []
     for leaf in _leaves(_DEFAULT_RAW):
         default = _value_at(_DEFAULT_RAW, leaf)
-        if type(default) is int:
-            continue
+        count = type(default) is int
         unit = _UNIT.match(str(default))
-        for value in [float(m) for m in _EXTREMES] + [m + unit[1] for m in _EXTREMES if unit]:
+        values = ([10**400] if count else
+                  [float(m) for m in _EXTREMES] + [m + unit[1] for m in _EXTREMES if unit])
+        for value in values:
             raw = _mutated(_DEFAULT_RAW, leaf, value)
             for command in ("scale", "impedance", "rf", "budget", "sweep", "layout"):
                 try:
                     code, err = _run_cli(raw, command, tmp_path)
                 except Exception as exc:
                     code, err = "traceback", repr(exc)
-                if code not in (0, 1, 2) or (code == 1 and not _FIELD_PATH.match(err)):
-                    problems.append((".".join(map(str, leaf)), value, command, code, err))
+                if (code not in (0, 1, 2) or (code == 1 and not _FIELD_PATH.match(err))
+                        or (count and not err.startswith(f"error: {_field(leaf)}: "))):
+                    problems.append((_field(leaf), value, command, code, err))
     assert not problems, problems
