@@ -76,7 +76,7 @@ def _fits_in_memory(field: str, what: str):
 
 
 class _Run:
-    """Shared context: config, catalog, and artifact bookkeeping."""
+    """Shared context: config, catalog, and the artifact writers."""
 
     def __init__(self, args):
         self.out_dir = Path(args.out)
@@ -93,18 +93,16 @@ class _Run:
             )
             self.config = parse_design_config(json.loads(config_bytes), self.catalog)
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()
-        self.artifacts: list[str] = []
 
     def write(self, name: str, text: str) -> Path:
         path = self.out_dir / name
         _write_atomic(path, text)
-        self.artifacts.append(str(path))
         return path
 
     def report(self, name: str, analysis: dict) -> Path:
         """Write the JSON report `name`: `analysis` under the tool and config header."""
         doc = {"tool": "densewire", "version": __version__, "config_sha256": self.config_sha256,
-               "analysis": analysis, "warnings": []}
+               "analysis": analysis}
         try:
             text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
         except ValueError:  # JSON has no inf or nan
@@ -210,8 +208,8 @@ def _cmd_layout(run: _Run, args) -> int:
     layout = generate_layout(config.layout, config.annotations)
     drc = run_drc(layout, config.layout, config.pin_stack)
     n = len(layout.hole_centers)
-    print(f"{n} pad/hole sites, {len(layout.channel_rows)} channels, "
-          f"{len(layout.ribbon_assignments)} ribbon cables")
+    print(f"{n} pad/hole sites, {layout.side_count} channels, "
+          f"{layout.side_count} ribbon cables")
     for f in drc.findings:
         print(f"DRC {f.severity.upper():<7} {f.rule}: {f.message}")
     if drc.passed:

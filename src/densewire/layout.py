@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import ConfigInvalid, UnsupportedFormat
 from .materials import MaterialCatalog, default_catalog
 from .tlines import PinStack, pin_outer_diameter
-from .units import bounded, integer, listof, number, optional, parse_length, raw, section, string
+from .units import bounded, integer, listof, number, parse_length, raw, section, string
 
 ERROR = "error"
 WARNING = "warning"
@@ -38,6 +38,10 @@ BOND_PRESSURE_RANGE = (10.0, 20.0)  # N/mm^2, chip-compression bonding
 GRAVITY = 9.80665  # m/s^2, for gram-force conversion
 
 LAYOUT_FORMAT = 2  # the `format` key of layout.json
+
+# Most sites a layout file is written for: 1000 x 1000, the densest grid a
+# 200 mm chip holds at the 200 um minimum hole of the process envelope.
+MAX_EXPORT_SITES = 10**6
 
 
 @dataclass(frozen=True)
@@ -138,14 +142,6 @@ class InterposerLayout:
     def solder_ball_sites(self) -> SiteGrid:
         return SiteGrid(self.offsets, tuple(y + self.channel_width / 2.0 for y in self.offsets))
 
-    @cached_property
-    def channel_rows(self) -> tuple[tuple[float, float, float], ...]:  # (y, width, depth)
-        return tuple((y, self.channel_width, self.channel_depth) for y in self.offsets)
-
-    @cached_property
-    def ribbon_assignments(self) -> tuple[tuple[int, str], ...]:  # (row index, cable id)
-        return tuple((row, f"cable-{row:03d}") for row in range(self.side_count))
-
 
 def generate_layout(cfg: LayoutConfig, annotations: tuple[Annotation, ...] = ()) -> InterposerLayout:
     """Square n x n pad/hole grid at the qubit pitch, one channel and one
@@ -183,83 +179,57 @@ def _fmt_um(x: float) -> str:
 
 
 def run_drc(layout: InterposerLayout, cfg: LayoutConfig, pin: PinStack) -> DrcReport:
-    """Evaluate the dimensional design rules; findings are sorted by rule id.
+    """Evaluate the dimensional design rules; findings come in rule order.
 
+    Each rule is one row of a table, (rule, severity, violated, message).
     The pitch and channel rules read the layout's grid, the part rules
     `cfg` and `pin`.
     """
-    findings: list[DrcFinding] = []
-
-    # R1: the vertical wire footprint (hole) may not exceed the qubit cell.
-    if cfg.hole_diameter > layout.pitch:
-        findings.append(DrcFinding(
-            "R1", ERROR,
-            f"hole diameter {_fmt_um(cfg.hole_diameter)} exceeds qubit pitch "
-            f"{_fmt_um(layout.pitch)}"))
-
-    # R2: finished pin diameter must mate the pad diameter.
     d_pin = pin_outer_diameter(pin)
-    if not math.isclose(d_pin, cfg.pad_diameter, rel_tol=1e-9, abs_tol=1e-12):
-        findings.append(DrcFinding(
-            "R2", ERROR,
-            f"pin outer diameter {_fmt_um(d_pin)} does not match pad diameter "
-            f"{_fmt_um(cfg.pad_diameter)}"))
-
-    # R3: hole diameter inside the demonstrated process envelope.
-    lo, hi = HOLE_DIAMETER_RANGE
-    if not lo <= cfg.hole_diameter <= hi:
-        findings.append(DrcFinding(
-            "R3", WARNING,
-            f"hole diameter {_fmt_um(cfg.hole_diameter)} outside the "
-            f"[{_fmt_um(lo)}, {_fmt_um(hi)}] process envelope"))
-
-    # R4: channel aspect ratio (width/depth) machinable by diamond turning.
     aspect = layout.channel_width / layout.channel_depth
-    if aspect < MIN_CHANNEL_ASPECT:
-        findings.append(DrcFinding(
-            "R4", ERROR,
-            f"channel aspect ratio {aspect:.3g} (width/depth) below the "
-            f"machinable minimum {MIN_CHANNEL_ASPECT}"))
-
-    # R5: pin-tip coplanarity tolerance.
-    if cfg.tip_tolerance > TIP_TOLERANCE_MAX * (1 + 1e-9):
-        findings.append(DrcFinding(
-            "R5", ERROR,
-            f"tip coplanarity tolerance {_fmt_um(cfg.tip_tolerance)} looser than "
-            f"the required -/+{_fmt_um(TIP_TOLERANCE_MAX)}"))
-
-    # R6: pin length inside the qualified range.
-    lo, hi = PIN_LENGTH_RANGE
-    if not lo <= cfg.pin_length <= hi:
-        findings.append(DrcFinding(
-            "R6", WARNING,
-            f"pin length {cfg.pin_length * 1e3:.6g} mm outside the "
-            f"[{lo * 1e3:.6g}, {hi * 1e3:.6g}] mm qualified range"))
-
-    # R7: solder balls must land on the ground traces.
-    if cfg.solder_ball_diameter > cfg.ground_curb_width * (1 + 1e-9):
-        findings.append(DrcFinding(
-            "R7", ERROR,
-            f"solder ball diameter {_fmt_um(cfg.solder_ball_diameter)} exceeds the "
-            f"ground trace width {_fmt_um(cfg.ground_curb_width)}"))
-
-    # R8: holes wider than their channel cannot sit inside its footprint.
-    if layout.channel_width < cfg.hole_diameter:
-        findings.append(DrcFinding(
-            "R8", WARNING,
-            f"channel width {_fmt_um(layout.channel_width)} narrower than hole diameter "
-            f"{_fmt_um(cfg.hole_diameter)}; holes protrude from the channel floor"))
-
-    # R9: pad thickness inside the plating envelope.
-    lo, hi = PAD_THICKNESS_RANGE
-    if not lo <= cfg.pad_thickness <= hi:
-        findings.append(DrcFinding(
-            "R9", WARNING,
-            f"pad thickness {_fmt_um(cfg.pad_thickness)} outside the "
-            f"[{_fmt_um(lo)}, {_fmt_um(hi)}] envelope"))
-
-    findings.sort(key=lambda f: f.rule)
-    return DrcReport(findings=tuple(findings))
+    hole_lo, hole_hi = HOLE_DIAMETER_RANGE
+    pin_lo, pin_hi = PIN_LENGTH_RANGE
+    pad_lo, pad_hi = PAD_THICKNESS_RANGE
+    rules = (
+        # R1: the vertical wire footprint (hole) may not exceed the qubit cell.
+        ("R1", ERROR, cfg.hole_diameter > layout.pitch,
+         f"hole diameter {_fmt_um(cfg.hole_diameter)} exceeds qubit pitch "
+         f"{_fmt_um(layout.pitch)}"),
+        # R2: finished pin diameter must mate the pad diameter.
+        ("R2", ERROR, not math.isclose(d_pin, cfg.pad_diameter, rel_tol=1e-9, abs_tol=1e-12),
+         f"pin outer diameter {_fmt_um(d_pin)} does not match pad diameter "
+         f"{_fmt_um(cfg.pad_diameter)}"),
+        # R3: hole diameter inside the demonstrated process envelope.
+        ("R3", WARNING, not hole_lo <= cfg.hole_diameter <= hole_hi,
+         f"hole diameter {_fmt_um(cfg.hole_diameter)} outside the "
+         f"[{_fmt_um(hole_lo)}, {_fmt_um(hole_hi)}] process envelope"),
+        # R4: channel aspect ratio (width/depth) machinable by diamond turning.
+        ("R4", ERROR, aspect < MIN_CHANNEL_ASPECT,
+         f"channel aspect ratio {aspect:.3g} (width/depth) below the "
+         f"machinable minimum {MIN_CHANNEL_ASPECT}"),
+        # R5: pin-tip coplanarity tolerance.
+        ("R5", ERROR, cfg.tip_tolerance > TIP_TOLERANCE_MAX * (1 + 1e-9),
+         f"tip coplanarity tolerance {_fmt_um(cfg.tip_tolerance)} looser than "
+         f"the required -/+{_fmt_um(TIP_TOLERANCE_MAX)}"),
+        # R6: pin length inside the qualified range.
+        ("R6", WARNING, not pin_lo <= cfg.pin_length <= pin_hi,
+         f"pin length {cfg.pin_length * 1e3:.6g} mm outside the "
+         f"[{pin_lo * 1e3:.6g}, {pin_hi * 1e3:.6g}] mm qualified range"),
+        # R7: solder balls must land on the ground traces.
+        ("R7", ERROR, cfg.solder_ball_diameter > cfg.ground_curb_width * (1 + 1e-9),
+         f"solder ball diameter {_fmt_um(cfg.solder_ball_diameter)} exceeds the "
+         f"ground trace width {_fmt_um(cfg.ground_curb_width)}"),
+        # R8: holes wider than their channel cannot sit inside its footprint.
+        ("R8", WARNING, layout.channel_width < cfg.hole_diameter,
+         f"channel width {_fmt_um(layout.channel_width)} narrower than hole diameter "
+         f"{_fmt_um(cfg.hole_diameter)}; holes protrude from the channel floor"),
+        # R9: pad thickness inside the plating envelope.
+        ("R9", WARNING, not pad_lo <= cfg.pad_thickness <= pad_hi,
+         f"pad thickness {_fmt_um(cfg.pad_thickness)} outside the "
+         f"[{_fmt_um(pad_lo)}, {_fmt_um(pad_hi)}] envelope"),
+    )
+    return DrcReport(tuple(DrcFinding(rule, severity, message)
+                           for rule, severity, violated, message in rules if violated))
 
 
 class BondForce(NamedTuple):
@@ -299,21 +269,30 @@ def _column_text(sites: SiteGrid) -> str:
     return f'{{"x":[{x}],"y":[{y}]}}'
 
 
-def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig | None = None) -> str:
-    """The grid and its site coordinates as columns, meters; compact and
-    deterministic byte-for-byte.  Holes equal pads and are not written.
+def check_export_size(layout: InterposerLayout) -> None:
+    """Reject a layout of more than MAX_EXPORT_SITES sites before any text is built."""
+    n = layout.side_count
+    if n * n > MAX_EXPORT_SITES:
+        raise ConfigInvalid("layout.array_side_count", f"a {n}x{n} grid has {n * n} sites; "
+                            f"layout files are written for at most {MAX_EXPORT_SITES}")
+
+
+def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig) -> str:
+    """The grid, its site coordinates as columns and the generating config,
+    meters; compact and deterministic byte-for-byte.  Holes equal pads and
+    are not written.
 
     The text is `_dumps` of the whole document; the site columns are built
     by `_column_text` and every other member by `_dumps`."""
+    check_export_size(layout)
     doc = {
         "format": LAYOUT_FORMAT,
         "units": "m",
         "grid": {"side_count": layout.side_count, "pitch": layout.pitch,
                  "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
         "annotations": [dataclasses.asdict(a) for a in layout.annotations],
+        "config": dataclasses.asdict(cfg),
     }
-    if cfg is not None:
-        doc["config"] = dataclasses.asdict(cfg)
     members = {key: _dumps(value) for key, value in doc.items()}
     members["pads"] = _column_text(layout.pad_centers)
     members["solder_balls"] = _column_text(layout.solder_ball_sites)
@@ -332,15 +311,15 @@ _LAYOUT_JSON = section(
                  channel_depth=_positive),
     pads=_SITE_COLUMNS, solder_balls=_SITE_COLUMNS,
     annotations=listof(ANNOTATION),
-    config=optional(raw))
+    config=raw)
 
 
 def layout_from_json(text: str) -> InterposerLayout:
     """Read a layout.json of format 2.
 
     Raises ConfigInvalid naming the field when the format is not 2, a field
-    is missing or mistyped, or a coordinate column differs from the grid
-    that the `grid` section defines.
+    (`config` included) is missing or mistyped, or a coordinate column
+    differs from the grid that the `grid` section defines.
     """
     doc = json.loads(text)
     fmt = doc.get("format") if isinstance(doc, dict) else None
@@ -378,6 +357,7 @@ def layout_to_svg(layout: InterposerLayout, cfg: LayoutConfig) -> str:
     Each site kind is one <symbol> in <defs>, placed at every site with
     <use>: the pad and its coaxial hole as "site", the solder ball as "ball".
     """
+    check_export_size(layout)
     half = (layout.side_count - 1) / 2.0 * layout.pitch + layout.pitch
     lo, size = -half * 1e6, 2 * half * 1e6
     w = layout.channel_width
@@ -418,13 +398,11 @@ def layout_to_svg(layout: InterposerLayout, cfg: LayoutConfig) -> str:
     return "\n".join(parts)
 
 
-def export_layout(layout: InterposerLayout, fmt: str, cfg: LayoutConfig | None = None) -> str:
-    """Serialize the layout; fmt is "json" or "svg" (svg requires cfg)."""
+def export_layout(layout: InterposerLayout, fmt: str, cfg: LayoutConfig) -> str:
+    """Serialize the layout; fmt is "json" or "svg"."""
     if fmt == "json":
         return layout_to_json(layout, cfg)
     if fmt == "svg":
-        if cfg is None:
-            raise ValueError("svg export requires the layout config")
         return layout_to_svg(layout, cfg)
     raise UnsupportedFormat(fmt)
 

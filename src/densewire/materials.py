@@ -9,6 +9,7 @@ Catalogs are immutable after load and safe to share across workers.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -115,16 +116,11 @@ def _catalog_from_dict(raw, where: str) -> MaterialCatalog:
     return MaterialCatalog(entries=entries, aliases=doc["aliases"])
 
 
-_DEFAULT: MaterialCatalog | None = None
-
-
+@functools.cache
 def default_catalog() -> MaterialCatalog:
     """The built-in catalog (cached; immutable)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        text = resources.files("densewire").joinpath("data/materials.json").read_text("utf-8")
-        _DEFAULT = _catalog_from_dict(json.loads(text), "data/materials.json")
-    return _DEFAULT
+    text = resources.files("densewire").joinpath("data/materials.json").read_text("utf-8")
+    return _catalog_from_dict(json.loads(text), "data/materials.json")
 
 
 def is_superconducting(m: Material, temperature: float) -> bool:

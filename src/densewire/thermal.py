@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from .errors import OutOfRange
 from .materials import MaterialCatalog, interpolate_conductivity
 
-LORENZ_NUMBER = 2.44e-8  # W ohm / K^2
+BOLTZMANN = 1.380649e-23           # J/K, exact in the SI
+ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact in the SI
+# Sommerfeld value pi^2/3 (k_B/e)^2, W ohm / K^2.
+LORENZ_NUMBER = math.pi ** 2 / 3.0 * (BOLTZMANN / ELEMENTARY_CHARGE) ** 2
 
 # Allow exact-equality budgets (total == cooling power) despite float noise.
 _FEAS_REL = 1e-12

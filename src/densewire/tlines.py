@@ -18,8 +18,12 @@ from .errors import DegenerateGeometry
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-# Free-space wave impedance / 2pi, ohms.
-ETA0_OVER_2PI = 59.952
+# Free-space wave impedance / 2pi, ohms: mu0 c / 2pi with mu0 = 4pi x 1e-7 H/m.
+ETA0_OVER_2PI = 2e-7 * SPEED_OF_LIGHT
+
+# eta0 / 4 in the CPW conformal-mapping formulas, ohms, with the textbook
+# eta0 = 120 pi (Simons, Coplanar Waveguide Circuits, ch. 2).
+CPW_ETA0_OVER_4 = 30.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ def cpw_impedance(spec: CpwSpec) -> float:
     k, k3 = _cpw_moduli(spec)
     eps_eff = cpw_effective_permittivity(spec)
     if k3 is None:
-        return (30.0 * math.pi / math.sqrt(eps_eff)) / _k_ratio(k)
-    return (60.0 * math.pi / math.sqrt(eps_eff)) / (_k_ratio(k) + _k_ratio(k3))
+        return (CPW_ETA0_OVER_4 / math.sqrt(eps_eff)) / _k_ratio(k)
+    return (2.0 * CPW_ETA0_OVER_4 / math.sqrt(eps_eff)) / (_k_ratio(k) + _k_ratio(k3))
 
 
 class Propagation(NamedTuple):

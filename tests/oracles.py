@@ -80,7 +80,7 @@ def brute_force_cascade(matrices):
     return total
 
 
-def columnar_layout_json(layout, cfg=None) -> str:
+def columnar_layout_json(layout, cfg) -> str:
     """layout.json format 2 as one compact, key-sorted `json.dumps` of the
     whole document, every site coordinate a list entry of its own."""
     def columns(sites):
@@ -95,9 +95,8 @@ def columnar_layout_json(layout, cfg=None) -> str:
         "pads": columns(layout.pad_centers),
         "solder_balls": columns(layout.solder_ball_sites),
         "annotations": [dataclasses.asdict(a) for a in layout.annotations],
+        "config": dataclasses.asdict(cfg),
     }
-    if cfg is not None:
-        doc["config"] = dataclasses.asdict(cfg)
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 

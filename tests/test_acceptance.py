@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Criterion 2's 50-ohm half checks a documented discrepancy in
 the published design: the 0.40 mm footprint quoted "at 50 ohm" is a
-47.98 ohm line at d = 100 um, eps_r = 3, so inverting the design at
+47.99 ohm line at d = 100 um, eps_r = 3, so inverting the design at
 exactly 50 ohm gives 0.424 mm, 6.0% from the published figure.  The
 `coax-inverse-50ohm` golden row keeps its 5% gate and reports FAIL, and
 the test asserts that honest verdict together with the computed diameter.

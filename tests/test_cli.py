@@ -41,7 +41,7 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads((out / "impedance.json").read_text())
         assert doc["analysis"]["coax"]["z_ohm"] == pytest.approx(14.03, abs=0.01)
-        assert "Z=14.03 ohm" in capsys.readouterr().out
+        assert "Z=14.04 ohm" in capsys.readouterr().out
 
     def test_rf_artifacts(self, tmp_path):
         code, out = run_cli(["rf"], tmp_path)
@@ -148,6 +148,14 @@ class TestSubcommands:
         assert failing == ["coax-inverse-50ohm"]
         assert code == 2
         assert "PASS coax-z-24" in stdout
+
+    @pytest.mark.parametrize("command, report", [
+        ("scale", "scale.json"), ("impedance", "impedance.json"), ("rf", "rf.json"),
+        ("layout", "drc.json"), ("budget", "budget.json"), ("paper-check", "paper_check.json")])
+    def test_report_header(self, tmp_path, command, report):
+        _, out = run_cli([command], tmp_path)
+        doc = json.loads((out / report).read_text())
+        assert sorted(doc) == ["analysis", "config_sha256", "tool", "version"]
 
 
 class TestErrors:

@@ -194,12 +194,13 @@ def _mutated(raw: dict, path: tuple, value) -> dict:
 
 
 def _run_cli(raw: dict, command: str, out_dir: Path) -> tuple[int, str]:
-    """Write `raw` as a config file, run one subcommand, return (exit code, stderr)."""
+    """Write `raw` as a config file, run one subcommand (with its options),
+    return (exit code, stderr)."""
     config = out_dir / "design.json"
     config.write_text(json.dumps(raw))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["--config", str(config), "--out", str(out_dir / "out"), command])
+        code = main(["--config", str(config), "--out", str(out_dir / "out"), *command.split()])
     return code, err.getvalue()
 
 
@@ -271,6 +272,8 @@ _BAD_INPUTS = [
     # layout.json columns of a 10^6 x 10^6 grid ask for 800 PB and 20 TB
     (("rf", "points"), 10**17, "rf", "rf.points"),
     (("layout", "array_side_count"), 10**6, "layout", "layout.array_side_count"),
+    # the SVG rows of that grid grew until the machine ran out of memory
+    (("layout", "array_side_count"), 10**6, "layout --format svg", "layout.array_side_count"),
     # one step from 200 um to 300 um swept 200 um only; negative lengths
     # passed, the position into layout.json
     (("sweeps", 0, "steps"), 1, "sweep", "sweeps[0].steps"),
@@ -290,12 +293,19 @@ _BAD_INPUTS = [
 ]
 
 
+def _bad_input_id(path, value, command) -> str:
+    """The leaf and its value, then the subcommand's options if it has any."""
+    options = command.partition(" ")[2]
+    return f"{'.'.join(map(str, path))}={value!r}"[:40] + (f" {options}" if options else "")
+
+
 @pytest.mark.parametrize("path,value,command,field", _BAD_INPUTS,
-                         ids=[f"{'.'.join(map(str, p))}={v!r}"[:40] for p, v, _, _ in _BAD_INPUTS])
+                         ids=[_bad_input_id(p, v, c) for p, v, c, _ in _BAD_INPUTS])
 def test_bad_input_exits_1_naming_field(default_raw, tmp_path, path, value, command, field):
     code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
     assert code == 1
     assert err.startswith(f"error: {field}: "), err
+    assert not (tmp_path / "out").exists()
 
 
 # Each row: (mutated leaf, value, subcommand, the start of the exit-2 message).

@@ -3,17 +3,21 @@ import json
 import math
 import tracemalloc
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from densewire.config import parse_design_config
 from densewire.errors import ConfigInvalid, UnsupportedFormat
 from densewire.layout import (
     CONICAL,
+    MAX_EXPORT_SITES,
     SPHERICAL,
     Annotation,
     LayoutConfig,
     bonding_force,
+    check_export_size,
     export_layout,
     generate_layout,
     layout_from_json,
@@ -69,7 +73,6 @@ class TestGeneration:
         layout = generate_layout(mutate(array_side_count=1))
         assert layout.pad_centers == ((0.0, 0.0),)
         assert layout.hole_centers == ((0.0, 0.0),)
-        assert len(layout.channel_rows) == 1
 
     def test_three_by_three_rows(self):
         layout = generate_layout(NOMINAL)
@@ -140,11 +143,6 @@ class TestGeneration:
                 steps = v / cfg.qubit_pitch
                 assert abs(steps - round(steps * 2) / 2) <= 1e-12 * max(1.0, abs(steps))
 
-    def test_one_ribbon_per_row(self):
-        layout = generate_layout(NOMINAL)
-        assert layout.ribbon_assignments == ((0, "cable-000"), (1, "cable-001"),
-                                             (2, "cable-002"))
-
     def test_invalid_config(self):
         with pytest.raises(ConfigInvalid):
             mutate(array_side_count=0)
@@ -212,6 +210,38 @@ class TestDrc:
         b = run_drc(generate_layout(cfg), cfg, NOMINAL_PIN)
         assert a == b
         assert [f.rule for f in a.findings] == sorted(f.rule for f in a.findings)
+
+    @pytest.mark.parametrize("layout_fields, pin_core, findings", [
+        ({"qubit_pitch": "300um", "hole_diameter": "350um", "channel_width": "100um",
+          "channel_depth": "1mm", "tip_tolerance": "3um", "pin_length": "30mm",
+          "solder_ball_diameter": "60um", "pad_thickness": "40um"}, "auto", [
+            ("R1", "error", "hole diameter 350 um exceeds qubit pitch 300 um"),
+            ("R2", "error", "pin outer diameter 250 um does not match pad diameter 200 um"),
+            ("R3", "warning",
+             "hole diameter 350 um outside the [200 um, 300 um] process envelope"),
+            ("R4", "error",
+             "channel aspect ratio 0.1 (width/depth) below the machinable minimum 0.14"),
+            ("R5", "error", "tip coplanarity tolerance 3 um looser than the required -/+2.5 um"),
+            ("R6", "warning", "pin length 30 mm outside the [15, 25] mm qualified range"),
+            ("R7", "error", "solder ball diameter 60 um exceeds the ground trace width 50 um"),
+            ("R8", "warning", "channel width 100 um narrower than hole diameter 350 um; "
+                              "holes protrude from the channel floor"),
+            ("R9", "warning", "pad thickness 40 um outside the [5 um, 30 um] envelope")]),
+        ({"hole_diameter": "150um", "pin_length": "10mm", "pad_thickness": "2um"}, "78um", [
+            ("R2", "error", "pin outer diameter 100 um does not match pad diameter 200 um"),
+            ("R3", "warning",
+             "hole diameter 150 um outside the [200 um, 300 um] process envelope"),
+            ("R6", "warning", "pin length 10 mm outside the [15, 25] mm qualified range"),
+            ("R9", "warning", "pad thickness 2 um outside the [5 um, 30 um] envelope")]),
+    ], ids=["all-nine", "from-below"])
+    def test_findings_of_the_built_in_config(self, catalog, layout_fields, pin_core, findings):
+        raw = json.loads(resources.files("densewire").joinpath("data/default_config.json")
+                         .read_text("utf-8"))
+        raw["layout"].update(layout_fields)
+        raw["pin_stack"]["core_diameter"] = pin_core
+        cfg = parse_design_config(raw, catalog)
+        report = run_drc(generate_layout(cfg.layout), cfg.layout, cfg.pin_stack)
+        assert [(f.rule, f.severity, f.message) for f in report.findings] == findings
 
 
 class TestBondingForce:
@@ -292,14 +322,14 @@ class TestExports:
         assert doc["solder_balls"]["x"] == doc["pads"]["x"]
 
     @pytest.mark.parametrize("side", [1, 2, 3, 20, 401])
-    @pytest.mark.parametrize("with_cfg", [True, False])
-    def test_json_equals_one_dumps_of_the_document(self, side, with_cfg):
+    @pytest.mark.parametrize("annotated", [True, False])
+    def test_json_equals_one_dumps_of_the_document(self, side, annotated):
         cfg = mutate(array_side_count=side)
-        layout = generate_layout(cfg, annotations=(
+        annotations = (
             Annotation("pads", '{"x":[', 0.05),
             Annotation("cable-\u0000", "Dämpfer −20 dB µ", -1.5e-3),
-            Annotation('"solder_balls":{"y":[0]}', "\\u0000 \\ \n", 0.0)))
-        cfg = cfg if with_cfg else None
+            Annotation('"solder_balls":{"y":[0]}', "\\u0000 \\ \n", 0.0))
+        layout = generate_layout(cfg, annotations=annotations if annotated else ())
         assert layout_to_json(layout, cfg) == columnar_layout_json(layout, cfg)
 
     @pytest.mark.parametrize("side", [1, 2, 3, 20])
@@ -312,6 +342,25 @@ class TestExports:
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormat):
             export_layout(generate_layout(NOMINAL), "dxf", NOMINAL)
+
+    @pytest.mark.parametrize("writer", [layout_to_json, layout_to_svg])
+    def test_side_1001_is_rejected_before_any_text(self, writer):
+        cfg = mutate(array_side_count=1001)
+        layout = generate_layout(cfg)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid) as exc:
+                writer(layout, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.field == "layout.array_side_count"
+        assert "1002001 sites" in exc.value.message
+        assert str(MAX_EXPORT_SITES) in exc.value.message
+        assert peak < 1e6
+
+    def test_side_1000_passes_the_size_check(self):
+        check_export_size(generate_layout(mutate(array_side_count=1000)))
 
 
 def _move_pad(doc):
@@ -346,6 +395,10 @@ def _negative_position(doc):
     doc["annotations"] = [{"cable": "cable-000", "kind": "ir-filter", "position": -0.05}]
 
 
+def _drop_config(doc):
+    del doc["config"]
+
+
 def _huge_side(doc):
     doc["grid"]["side_count"] = 10**9  # rejected on column length, before any site is built
 
@@ -361,6 +414,7 @@ class TestReader:
         (_metres_as_mm, "units"),
         (_huge_side, "pads.x"),
         (_negative_position, "annotations[0].position"),
+        (_drop_config, "config"),
     ])
     def test_rejects_naming_the_field(self, damage, field):
         doc = json.loads(layout_to_json(generate_layout(NOMINAL), NOMINAL))
@@ -368,10 +422,6 @@ class TestReader:
         with pytest.raises(ConfigInvalid) as exc:
             layout_from_json(json.dumps(doc))
         assert exc.value.field == field
-
-    def test_reads_without_config(self):
-        layout = generate_layout(NOMINAL)
-        assert layout_from_json(layout_to_json(layout)) == layout
 
 
 class TestProcessChecklist:
