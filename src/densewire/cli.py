@@ -23,7 +23,7 @@ from . import __version__
 from .config import DesignConfig, load_design_config, parse_design_config, set_parameter
 from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
-from .layout import export_layout, generate_layout, run_drc
+from .layout import check_export_size, export_layout, generate_layout, run_drc
 from .materials import MaterialCatalog, default_catalog, load_catalog
 from .rfnet import mismatch_report, response_csv, touchstone
 from .scaling import (
@@ -206,6 +206,7 @@ def _cmd_rf(run: _Run, args) -> int:
 def _cmd_layout(run: _Run, args) -> int:
     config = run.config
     layout = generate_layout(config.layout, config.annotations)
+    check_export_size(layout)
     drc = run_drc(layout, config.layout, config.pin_stack)
     n = len(layout.hole_centers)
     print(f"{n} pad/hole sites, {layout.side_count} channels, "

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they check: quadrature instead of
 the AGM, fixed-step Simpson instead of the closed-form power-law integral,
-closed-form reflection formulas instead of the ABCD cascade, bisection
-instead of algebraic solutions, one `json.dumps` or f-string per site
+closed-form reflection formulas instead of the ABCD cascade, a complex
+chain product with every element's matrix computed on its own instead of
+the cascade's shared line phases and real arithmetic, bisection instead
+of algebraic solutions, one `json.dumps` or f-string per site
 instead of the layout writers' per-axis text, and one list of RF rows
 joined once instead of the RF writers' blocks.
 """
@@ -16,6 +18,10 @@ import json
 import math
 
 import numpy as np
+
+from densewire import rfnet
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
 def simpson(f, a: float, b: float, n: int = 20001) -> float:
@@ -78,6 +84,32 @@ def brute_force_cascade(matrices):
             [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
         ]
     return total
+
+
+def _complex_abcd(e, f: np.ndarray) -> tuple:
+    """One element's A, B, C, D over `f` as complex or real scalars and vectors,
+    each written as the textbook matrix entry (Pozar, table 4.1)."""
+    if isinstance(e, rfnet.UniformLine):
+        beta_l = 2.0 * math.pi * f * math.sqrt(e.eps_eff) / SPEED_OF_LIGHT * e.length
+        cos, sin = np.cos(beta_l), np.sin(beta_l)
+        return cos, 1j * e.z0 * sin, 1j * sin / e.z0, cos
+    if isinstance(e, rfnet.SeriesImpedance):
+        return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
+    if isinstance(e, rfnet.ShuntAdmittance):
+        return 1.0, 0.0, 1j * 2.0 * math.pi * f * e.capacitance, 1.0
+    gamma = e.attenuation_db * math.log(10.0) / 20.0
+    ch, sh = math.cosh(gamma), math.sinh(gamma)
+    return ch, e.z_ref * sh, sh / e.z_ref, ch
+
+
+def unshared_cascade(chain, f) -> list:
+    """A, B, C and D of the chain as complex vectors: every element's matrix
+    computed on its own, and every product in complex arithmetic."""
+    A, B, C, D = _complex_abcd(chain[0], f)
+    for e in chain[1:]:
+        a, b, c, d = _complex_abcd(e, f)
+        A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
+    return [np.broadcast_to(v, f.shape).astype(complex) for v in (A, B, C, D)]
 
 
 def columnar_layout_json(layout, cfg) -> str:

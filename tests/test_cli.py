@@ -65,6 +65,17 @@ class TestSubcommands:
         assert drc["analysis"]["passed"] is True
         assert "DRC clean" in capsys.readouterr().out
 
+    def test_layout_over_the_size_limit_prints_no_result(self, tmp_path, config_file, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["layout"]["array_side_count"] = 10**6
+        config_file.write_text(json.dumps(raw))
+        code, out = run_cli(["--config", str(config_file), "layout"], tmp_path)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "pad/hole sites" not in captured.out and "DRC clean" not in captured.out
+        assert captured.err.startswith("error: layout.array_side_count: ")
+        assert not out.exists()
+
     def test_budget(self, tmp_path, capsys):
         code, out = run_cli(["budget"], tmp_path)
         assert code == 0

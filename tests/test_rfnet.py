@@ -7,6 +7,7 @@ import pytest
 import oracles
 from densewire.rfnet import (
     _BLOCK,
+    _PASS,
     FrequencyResponse,
     IdealAttenuator,
     RfSettings,
@@ -14,7 +15,7 @@ from densewire.rfnet import (
     ShuntAdmittance,
     TwoPortNetwork,
     UniformLine,
-    _element_abcd,
+    build_signal_path,
     cascade,
     mismatch_report,
     response_csv,
@@ -22,7 +23,12 @@ from densewire.rfnet import (
     touchstone,
 )
 from densewire.tlines import SPEED_OF_LIGHT
-from oracles import brute_force_cascade, line_two_step_s11, line_two_step_s21
+from oracles import (
+    brute_force_cascade,
+    line_two_step_s11,
+    line_two_step_s21,
+    unshared_cascade,
+)
 
 
 # The pin and the feed of every reported path sit in an eps_r = 3 fill.
@@ -43,15 +49,6 @@ def matrix(net: TwoPortNetwork, i: int) -> np.ndarray:
     return np.array([[net.A[i], net.B[i]], [net.C[i], net.D[i]]])
 
 
-def unshared_cascade(chain, f):
-    """cascade's chain product with each element's cos and sin computed on its own."""
-    A, B, C, D = _element_abcd(chain[0], f, {})
-    for e in chain[1:]:
-        a, b, c, d = _element_abcd(e, f, {})
-        A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
-    return [np.broadcast_to(v, f.shape).astype(complex) for v in (A, B, C, D)]
-
-
 def random_element(rng, kind: int):
     if kind == 0:
         return UniformLine(rng.uniform(5, 100), rng.uniform(1, 10), rng.uniform(0, 0.05))
@@ -60,6 +57,22 @@ def random_element(rng, kind: int):
     if kind == 2:
         return ShuntAdmittance(rng.uniform(0, 5e-12))
     return IdealAttenuator(rng.uniform(0, 1), z_ref=rng.uniform(10, 100))
+
+
+def random_lossless_element(rng, seen: set):
+    """A line, a series L or a shunt C; a quarter of them is a zero one
+    (a length of 0.0 or -0.0, L = 0, C = 0), named in `seen`."""
+    kind, zero = int(rng.integers(0, 3)), rng.random() < 0.25
+    if kind == 0:
+        length = float(rng.choice([0.0, -0.0])) if zero else rng.uniform(0, 0.05)
+        if zero:
+            seen.add(f"length {length}")
+        return UniformLine(rng.uniform(5, 100), rng.uniform(1, 10), length)
+    if zero:
+        seen.add(("L = 0", "C = 0")[kind - 1])
+    if kind == 1:
+        return SeriesImpedance(0.0, 0.0 if zero else rng.uniform(0, 5e-9))
+    return ShuntAdmittance(0.0 if zero else rng.uniform(0, 5e-12))
 
 
 class TestElementMatrices:
@@ -150,6 +163,43 @@ class TestCascade:
     def test_signed_zero_lengths_do_not_share(self):
         # -0.0 == 0.0, but the sign of B's zero real part shows which sine was used.
         self.assert_equals_unshared([UniformLine(50.0, 3.0, -0.0), UniformLine(60.0, 3.0, 0.0)])
+
+    @pytest.mark.parametrize("lossy_at", [None, "first", "middle", "last"])
+    def test_lossless_runs_equal_the_complex_product(self, lossy_at):
+        rng = np.random.default_rng(15)
+        seen = set()
+        for trial in range(150):
+            chain = [random_lossless_element(rng, seen) for _ in range(rng.integers(2, 9))]
+            if lossy_at is not None:
+                at = {"first": 0, "middle": int(rng.integers(1, len(chain))),
+                      "last": len(chain)}[lossy_at]
+                chain.insert(at, random_element(rng, int(rng.choice([1, 3]))))
+                if isinstance(chain[at], SeriesImpedance):
+                    chain[at] = dataclasses.replace(chain[at], resistance=rng.uniform(0.1, 5))
+            freqs = np.linspace((0.0, 1e9)[trial % 2], 10e9, 33)
+            z_load = 50.0 if trial % 4 < 2 else rng.uniform(10, 100)
+            self.assert_equals_complex_product(chain, freqs, z_load)
+        assert seen == {"length 0.0", "length -0.0", "L = 0", "C = 0"}
+
+    @pytest.mark.parametrize("resistance", [0.0, 0.5])
+    def test_frequency_passes_join_exactly(self, resistance):
+        # The 67-element stress path over a grid of two passes and a part.
+        rf = RfSettings(points=2 * _PASS + 3, feed_length=0.03, taper_length=0.01,
+                        taper_segments=64, bond_resistance=resistance, bond_inductance=45e-12)
+        chain = build_signal_path(rf, 0.02, 14.0, **EPS)
+        self.assert_equals_complex_product(chain, np.linspace(*rf.band, rf.points), 50.0)
+
+    @staticmethod
+    def assert_equals_complex_product(chain, freqs, z_load):
+        """S-parameters equal to the all-complex product's bit for bit, and
+        A, B, C and D in value: the signs of their zero parts may differ."""
+        net = cascade(chain, freqs, z_src=50.0, z_load=z_load)
+        want = TwoPortNetwork(freqs, *unshared_cascade(chain, freqs), z_src=50.0, z_load=z_load)
+        for got, exp in zip((net.A, net.B, net.C, net.D), (want.A, want.B, want.C, want.D)):
+            assert np.array_equal(got, exp)
+        got, exp = to_s_parameters(net), to_s_parameters(want)
+        for name in ("s11", "s21", "s12", "s22"):
+            assert getattr(got, name).tobytes() == getattr(exp, name).tobytes()
 
     def test_frequencies_must_increase(self):
         with pytest.raises(ValueError):
