@@ -25,7 +25,9 @@ from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
 from .layout import check_export_size, export_layout, generate_layout, run_drc
 from .materials import MaterialCatalog, default_catalog, load_catalog
-from .rfnet import mismatch_report, response_csv, touchstone
+# `rf` streams both texts from `response_texts`.  The whole-text writers stay
+# importable from here, where perfbench's tracer looks them up by name.
+from .rfnet import mismatch_report, response_csv, response_texts, touchstone  # noqa: F401
 from .scaling import (
     LATERAL,
     lateral_scaling_report,
@@ -48,21 +50,33 @@ ENV_MATERIALS = "DENSEWIRE_MATERIALS"
 _WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through `<name>.tmp` and rename; a failed write or rename
-    removes the temp file before the error propagates.  The text goes out
-    in slices, so its UTF-8 encoding never exists whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    f = open(tmp, "w", encoding="utf-8", newline="\n")
+def _write_atomic(paths, parts) -> None:
+    """Write the files `paths` together: `parts` yields tuples of one text
+    per path, which are appended to the files in order.
+
+    Each file is written as `<name>.tmp`, and the files are renamed only
+    once all of them are complete.  A failed write, or a failed rename,
+    removes every temp file before the error propagates; a file renamed
+    before a failed rename stays.  A text goes out in slices, so its UTF-8
+    encoding never exists whole.
+    """
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
     try:
-        with f:
-            for i in range(0, len(text), _WRITE_SLICE):
-                f.write(text[i:i + _WRITE_SLICE])
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for tmp in tmps:
+                tmp.parent.mkdir(parents=True, exist_ok=True)
+                files.append(stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n")))
+            for texts in parts:
+                for f, text in zip(files, texts, strict=True):
+                    for i in range(0, len(text), _WRITE_SLICE):
+                        f.write(text[i:i + _WRITE_SLICE])
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
         raise
 
 
@@ -96,7 +110,7 @@ class _Run:
 
     def write(self, name: str, text: str) -> Path:
         path = self.out_dir / name
-        _write_atomic(path, text)
+        _write_atomic([path], [(text,)])
         return path
 
     def report(self, name: str, analysis: dict) -> Path:
@@ -197,8 +211,8 @@ def _cmd_rf(run: _Run, args) -> int:
               f"{rf.system_impedance:g} ohm system")
         print(f"worst |S11| = {report.worst_s11:.6g} at "
               f"{report.worst_s11_frequency / 1e9:.6g} GHz")
-        run.write("rf_response.csv", response_csv(report.response))
-        run.write("rf.s2p", touchstone(report.response))
+        _write_atomic([run.out_dir / "rf_response.csv", run.out_dir / "rf.s2p"],
+                      response_texts(report.response))
         run.report("rf.json", report.to_record())
     return 0
 

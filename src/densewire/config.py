@@ -68,6 +68,7 @@ def _core_diameter(value, where: str):
 
 length, area, power = units.parse_length, units.parse_area, units.parse_power
 temperature, resistance = units.parse_temperature, units.parse_resistance
+positive_length = units.bounded(length, 0.0, strict=True)
 
 # The whole config schema.  Optional fields without a default here take the
 # value type's own default.
@@ -85,7 +86,7 @@ _SCHEMA = section(
     interposer=optional(section(
         dielectric=optional(string, "STYCAST-1266"),
         eps_r=optional(number),
-        pin_hole_clearance=optional(length, "100um")), {}),
+        pin_hole_clearance=optional(positive_length, "100um")), {}),
     layout=section(
         qubit_pitch=length, array_side_count=integer(1), pad_diameter=length,
         hole_diameter=length, channel_width=length, channel_depth=length,
@@ -95,7 +96,7 @@ _SCHEMA = section(
                           eps_r=optional(number))),
     cpw=optional(section(
         trace_width=length, gap=length, substrate_eps_r=number, covered=optional(flag),
-        cover_height=optional(units.bounded(length, 0.0, strict=True)))),
+        cover_height=optional(positive_length))),
     rf=optional(section(
         band=optional(pair(units.parse_frequency, units.parse_frequency)),
         points=optional(integer(2)), system_impedance=optional(resistance),

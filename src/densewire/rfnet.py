@@ -12,7 +12,7 @@ and an imaginary B = jb and C = jc, and a product of such matrices keeps
 that form.  The cascade therefore carries the leading run of lossless
 elements as the four real vectors A, b, c and D, a block of frequencies
 at a time, and switches to complex vectors at the first element of
-another form (a series R > 0 or an attenuator).  The real products give
+another form, a series R > 0.  The real products give
 the values of the complex ones bit for bit; only the signs of zero parts
 may differ.
 """
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Union
 
 import numpy as np
@@ -72,22 +74,7 @@ class ShuntAdmittance:
             raise ValueError("capacitance must be >= 0")
 
 
-@dataclass(frozen=True)
-class IdealAttenuator:
-    """Matched resistive attenuator; z_ref is the impedance it is matched to."""
-
-    attenuation_db: float
-    z_ref: float = 50.0
-    label: str = ""
-
-    def __post_init__(self):
-        if self.attenuation_db < 0:
-            raise ValueError("attenuation must be >= 0 dB")
-        if self.z_ref <= 0:
-            raise ValueError("reference impedance must be > 0")
-
-
-NetworkElement = Union[UniformLine, SeriesImpedance, ShuntAdmittance, IdealAttenuator]
+NetworkElement = Union[UniformLine, SeriesImpedance, ShuntAdmittance]
 
 
 def _line_phase(e: UniformLine, f: np.ndarray, phases: dict) -> tuple:
@@ -151,10 +138,6 @@ def _element_abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
         return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
     if isinstance(e, ShuntAdmittance):
         return 1.0, 0.0, 1j * 2.0 * math.pi * f * e.capacitance, 1.0
-    if isinstance(e, IdealAttenuator):
-        gamma = e.attenuation_db * math.log(10.0) / 20.0
-        ch, sh = math.cosh(gamma), math.sinh(gamma)
-        return ch, e.z_ref * sh, sh / e.z_ref, ch
     raise TypeError(f"not a network element: {e!r}")
 
 
@@ -196,8 +179,8 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
     The leading run of lossless elements is multiplied in real arithmetic
     (`_lossless_product`), a block of frequencies at a time, and written
     into complex vectors as A, jb, jc and D, with +0 as the real parts of B
-    and C.  From the first element of another form (a series R > 0, an
-    attenuator) on, the chain is multiplied in complex arithmetic.  Either
+    and C.  From the first element of another form (a series R > 0) on,
+    the chain is multiplied in complex arithmetic.  Either
     way A, B, C and D equal the all-complex product in value; the signs of
     their zero parts may differ.
     """
@@ -359,36 +342,43 @@ def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
     )
 
 
-# A single `%` per row formats faster than an f-string of seven or nine
-# fields, and "%.12g" % x == f"{x:.12g}" for every float.
-_CSV_ROW = "%.10g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
-_S2P_ROW = "%.10g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g\n"
+# The CSV and the Touchstone rows share their first five fields: the
+# frequency and Re/Im of S11 and S21.  A row formats them once, as its head,
+# with a single `%` (faster than an f-string, and "%.12g" % x == f"{x:.12g}"
+# for every float).  The CSV row appends the two dB columns; the Touchstone
+# row appends S12 and S22, and its block turns every comma into a space.
+_HEAD = "%.10g,%.12g,%.12g,%.12g,%.12g"
+_CSV_TAIL = ",%.12g,%.12g\n"
+_S2P_TAIL = ",%.12g,%.12g,%.12g,%.12g\n"
 _BLOCK = 4096  # rows formatted per block
 
 
-def _rows(fmt: str, *columns):
-    """The rows of the columns, read as Python floats and formatted with
-    `fmt`, as one text per block of `_BLOCK` rows: only one block's floats
-    and row strings exist at a time, and the caller joins the blocks once."""
-    columns = [np.asarray(c) for c in columns]
-    for i in range(0, len(columns[0]), _BLOCK):
-        yield "".join([fmt % row for row in zip(*(c[i:i + _BLOCK].tolist() for c in columns))])
+def _rows(columns, part: slice):
+    """The rows of the columns within `part`, as tuples of Python floats."""
+    return zip(*(c[part].tolist() for c in columns))
 
 
-def response_csv(resp: FrequencyResponse) -> str:
-    """CSV dump: frequency, Re/Im of S11 and S21, and dB magnitudes."""
-    return "".join(["frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n",
-                    *_rows(_CSV_ROW, resp.frequencies, resp.s11.real, resp.s11.imag,
-                           resp.s21.real, resp.s21.imag, resp.s11_db(), resp.s21_db())])
+def _block(shared, db, s12_s22, part: slice) -> tuple[str, str]:
+    """The CSV and the Touchstone rows within `part`.  Heads and tails are
+    joined interleaved, so no row string is built; and being a function's
+    locals, the block's lists are freed before the block is handed on."""
+    heads = [_HEAD % row for row in _rows(shared, part)]
+    csv = "".join(chain.from_iterable(zip(heads, [_CSV_TAIL % r for r in _rows(db, part)])))
+    s2p = "".join(chain.from_iterable(zip(heads, [_S2P_TAIL % r for r in _rows(s12_s22, part)])))
+    return csv, s2p.replace(",", " ")
 
 
-def touchstone(resp: FrequencyResponse) -> str:
-    """Two-port Touchstone text, real/imaginary format, rows S11 S21 S12 S22.
+def response_texts(resp: FrequencyResponse):
+    """The CSV and the Touchstone text of `resp`, as (CSV, Touchstone) pairs
+    of blocks in file order: the headers, a pair per `_BLOCK` rows, and the
+    Touchstone trailer.  Only one block's floats and strings exist at a time.
 
-    Equal port references give a v1 file.  Touchstone v1 carries a single
-    reference resistance, so unequal ones give a v2.0 file whose
-    [Reference] line names both (IBIS Open Forum, Touchstone File Format
-    Specification v2.0).
+    The CSV columns are frequency, Re/Im of S11 and S21, and their dB
+    magnitudes.  The Touchstone text is a two-port file in real/imaginary
+    format, rows S11 S21 S12 S22.  Equal port references give a v1 file.
+    Touchstone v1 carries a single reference resistance, so unequal ones
+    give a v2.0 file whose [Reference] line names both (IBIS Open Forum,
+    Touchstone File Format Specification v2.0).
     """
     v2 = resp.z_load != resp.z_src
     head = f"# Hz S RI R {resp.z_src:.12g}\n"
@@ -396,7 +386,23 @@ def touchstone(resp: FrequencyResponse) -> str:
         head = ("[Version] 2.0\n" + head + "[Number of Ports] 2\n[Two-Port Data Order] 21_12\n"
                 f"[Number of Frequencies] {len(resp.frequencies)}\n"
                 f"[Reference] {resp.z_src:.12g} {resp.z_load:.12g}\n[Network Data]\n")
-    return "".join([head, *_rows(_S2P_ROW, resp.frequencies, resp.s11.real, resp.s11.imag,
-                                 resp.s21.real, resp.s21.imag, resp.s12.real, resp.s12.imag,
-                                 resp.s22.real, resp.s22.imag),
-                    "[End]\n" if v2 else ""])
+    yield "frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n", head
+    shared = (resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real, resp.s21.imag)
+    db = (resp.s11_db(), resp.s21_db())
+    s12_s22 = (resp.s12.real, resp.s12.imag, resp.s22.real, resp.s22.imag)
+    for i in range(0, len(resp.frequencies), _BLOCK):
+        yield _block(shared, db, s12_s22, slice(i, i + _BLOCK))
+    if v2:
+        yield "", "[End]\n"
+
+
+# The whole-text writers take one text of each pair as it comes, so the
+# other text's block is dropped before the next block is formatted.
+def response_csv(resp: FrequencyResponse) -> str:
+    """The CSV text of `response_texts`, whole."""
+    return "".join(map(itemgetter(0), response_texts(resp)))
+
+
+def touchstone(resp: FrequencyResponse) -> str:
+    """The Touchstone text of `response_texts`, whole."""
+    return "".join(map(itemgetter(1), response_texts(resp)))

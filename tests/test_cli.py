@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,10 @@ from densewire.cli import _write_atomic, main
 from densewire.config import parse_design_config
 from densewire.materials import default_catalog
 from densewire.thermal import controller_budget
+
+
+def _raise_disk_full(text):
+    raise OSError(28, "disk full")
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -211,6 +216,33 @@ class TestErrors:
         assert "layout.json" in capsys.readouterr().err
         assert list(out.glob("*.tmp")) == []
 
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
+    def test_failed_rf_write_writes_neither_file(self, tmp_path, config_file, monkeypatch,
+                                                 capsys, earlier):
+        out = tmp_path / "o"
+        if earlier:
+            assert main(["--out", str(out), "rf"]) == 0
+        before = {p.name: p.read_bytes() for p in out.glob("*")}
+        raw = json.loads(config_file.read_text())
+        raw["rf"]["points"] = 3 * 2048 + 5  # new texts, over several blocks
+        config_file.write_text(json.dumps(raw))
+        real_open = open
+
+        def failing_open(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            if Path(path).name == "rf.s2p.tmp":
+                f.write = _raise_disk_full
+            return f
+
+        monkeypatch.setattr("densewire.cli.open", failing_open, raising=False)
+        code = main(["--config", str(config_file), "--out", str(out), "rf"])
+        assert code == 2
+        assert "disk full" in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == []
+        assert {p.name: p.read_bytes() for p in out.glob("*")} == before
+        if not earlier:
+            assert not (out / "rf_response.csv").exists() and not (out / "rf.s2p").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "o"), "scale"])
@@ -245,13 +277,13 @@ class TestParserReuse:
 class TestWrite:
     def test_encoding_never_holds_the_whole_text(self, tmp_path, traced_peak):
         text = "0123456789abcdef\n" * 470_589  # 8 MB of ASCII
-        _, peak = traced_peak(_write_atomic, tmp_path / "big.txt", text)
+        _, peak = traced_peak(_write_atomic, [tmp_path / "big.txt"], [(text,)])
         assert peak < 3 * 2**20
         assert (tmp_path / "big.txt").read_text(encoding="utf-8") == text
 
     def test_multibyte_text_across_slices(self, tmp_path):
         text = "a\u20ac\U0001d11e\n" * 300_000  # 1.2M characters, 2.7 MB of UTF-8
-        _write_atomic(tmp_path / "utf8.txt", text)
+        _write_atomic([tmp_path / "utf8.txt"], [(text,)])
         assert (tmp_path / "utf8.txt").read_bytes() == text.encode("utf-8")
 
 

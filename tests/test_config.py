@@ -308,6 +308,22 @@ def test_bad_input_exits_1_naming_field(default_raw, tmp_path, path, value, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["impedance", "layout"])
+@pytest.mark.parametrize("coax", [None, {"inner_diameter": "100um", "outer_diameter": "300um"}],
+                         ids=["derived-coax", "explicit-coax"])
+@pytest.mark.parametrize("clearance", ["-50um", "-1um", "0um"])
+def test_pin_hole_clearance_must_be_positive(default_raw, tmp_path, clearance, coax, command):
+    # With an explicit coax section, a pin as wide as its hole, or wider,
+    # exited 0; without one, the error named the derived `coax`.
+    raw = _mutated(default_raw, ("interposer", "pin_hole_clearance"), clearance)
+    if coax is not None:
+        raw["coax"] = coax
+    code, err = _run_cli(raw, command, tmp_path)
+    assert code == 1
+    assert err.startswith("error: interposer.pin_hole_clearance: must be > 0"), err
+    assert not (tmp_path / "out").exists()
+
+
 # Each row: (mutated leaf, value, subcommand, the start of the exit-2 message).
 # Each ended in a traceback; the RF and budget rows first wrote artifacts
 # holding nan or inf.
