@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: scale, impedance, rf, layout, budget, sweep, paper-check.
-Artifacts are written atomically (temp file + rename) and contain no
-timestamps, so identical (config, version) pairs produce byte-identical
-output.  Exit codes: 0 success, 1 config/validation error, 2 analysis
-error or a failed golden-value check.
+A run's artifacts are staged as `<name>.tmp` and renamed together once its
+command returns, or removed on any error, so a failed run leaves `--out` as
+it was.  They hold no timestamps: identical (config, version) pairs produce
+byte-identical output.  Exit codes: 0 success, 1 config/validation error,
+2 analysis error or a failed golden-value check.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
 from .layout import check_export_size, export_layout, generate_layout, run_drc
 from .materials import MaterialCatalog, default_catalog, load_catalog
-# `rf` streams both texts from `response_texts`.  The whole-text writers stay
-# importable from here, where perfbench's tracer looks them up by name.
+# `rf` streams `response_texts`; the whole-text writers stay here for perfbench's tracer.
 from .rfnet import mismatch_report, response_csv, response_texts, touchstone  # noqa: F401
 from .scaling import (
     LATERAL,
@@ -45,38 +45,40 @@ from .tlines import (
 )
 
 ENV_MATERIALS = "DENSEWIRE_MATERIALS"
-
-
 _WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
 def _write_atomic(paths, parts) -> None:
-    """Write the files `paths` together: `parts` yields tuples of one text
-    per path, which are appended to the files in order.
+    """Write `<name>.tmp` beside each of `paths`: `parts` yields tuples of
+    one text per path, which are appended to the files in order.  A text
+    goes out in slices, so its UTF-8 encoding never exists whole."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(f"{path}.tmp", "w", encoding="utf-8", newline="\n"))
+                 for path in paths]
+        for texts in parts:
+            for f, text in zip(files, texts, strict=True):
+                for i in range(0, len(text), _WRITE_SLICE):
+                    f.write(text[i:i + _WRITE_SLICE])
 
-    Each file is written as `<name>.tmp`, and the files are renamed only
-    once all of them are complete.  A failed write, or a failed rename,
-    removes every temp file before the error propagates; a file renamed
-    before a failed rename stays.  A text goes out in slices, so its UTF-8
-    encoding never exists whole.
-    """
-    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+
+@contextlib.contextmanager
+def _committed(run: _Run):
+    """Once the body returns, rename each file `run` staged from `<name>.tmp` onto its name;
+    on any exception, remove every `.tmp` and the directories the run created."""
+    new_dirs = [d for d in (run.out_dir, *run.out_dir.parents) if not d.exists()]
     try:
-        with contextlib.ExitStack() as stack:
-            files = []
-            for tmp in tmps:
-                tmp.parent.mkdir(parents=True, exist_ok=True)
-                files.append(stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n")))
-            for texts in parts:
-                for f, text in zip(files, texts, strict=True):
-                    for i in range(0, len(text), _WRITE_SLICE):
-                        f.write(text[i:i + _WRITE_SLICE])
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+        yield
+        if dirs := [path for path in run.staged if path.is_dir()]:  # rename none unless all can be
+            raise IsADirectoryError(f"{dirs[0]}: is a directory")
+        for path in run.staged:
+            os.replace(f"{path}.tmp", path)
     except BaseException:
-        for tmp in tmps:
+        for path in run.staged:
             with contextlib.suppress(OSError):
-                tmp.unlink()
+                os.remove(f"{path}.tmp")
+        with contextlib.suppress(OSError):  # deepest first; stops at one the run wrote into
+            for d in new_dirs:
+                d.rmdir()
         raise
 
 
@@ -94,6 +96,7 @@ class _Run:
 
     def __init__(self, args):
         self.out_dir = Path(args.out)
+        self.staged: list[Path] = []  # artifact paths written as <name>.tmp
         materials_path = args.materials or os.environ.get(ENV_MATERIALS)
         self.catalog: MaterialCatalog = (
             load_catalog(materials_path) if materials_path else default_catalog()
@@ -108,12 +111,14 @@ class _Run:
             self.config = parse_design_config(json.loads(config_bytes), self.catalog)
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()
 
-    def write(self, name: str, text: str) -> Path:
-        path = self.out_dir / name
-        _write_atomic([path], [(text,)])
-        return path
+    def write(self, names, parts) -> None:
+        """Stage the artifacts `names`: `parts` yields tuples of one text per name."""
+        paths = [self.out_dir / name for name in names]
+        self.staged.extend(paths)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_atomic(paths, parts)
 
-    def report(self, name: str, analysis: dict) -> Path:
+    def report(self, name: str, analysis: dict) -> None:
         """Write the JSON report `name`: `analysis` under the tool and config header."""
         doc = {"tool": "densewire", "version": __version__, "config_sha256": self.config_sha256,
                "analysis": analysis}
@@ -121,7 +126,7 @@ class _Run:
             text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
         except ValueError:  # JSON has no inf or nan
             raise OutOfRange(f"{name}: a result is not finite") from None
-        return self.write(name, text + "\n")
+        self.write([name], [(text + "\n",)])
 
 
 def _scale_records(config: DesignConfig) -> dict:
@@ -211,8 +216,7 @@ def _cmd_rf(run: _Run, args) -> int:
               f"{rf.system_impedance:g} ohm system")
         print(f"worst |S11| = {report.worst_s11:.6g} at "
               f"{report.worst_s11_frequency / 1e9:.6g} GHz")
-        _write_atomic([run.out_dir / "rf_response.csv", run.out_dir / "rf.s2p"],
-                      response_texts(report.response))
+        run.write(["rf_response.csv", "rf.s2p"], response_texts(report.response))
         run.report("rf.json", report.to_record())
     return 0
 
@@ -231,10 +235,9 @@ def _cmd_layout(run: _Run, args) -> int:
         print("DRC clean")
     side = config.layout.array_side_count
     with _fits_in_memory("layout.array_side_count", f"the sites of a {side}x{side} grid"):
-        if args.format in ("json", "both"):
-            run.write("layout.json", export_layout(layout, "json", config.layout))
-        if args.format in ("svg", "both"):
-            run.write("layout.svg", export_layout(layout, "svg", config.layout))
+        for fmt in ("json", "svg"):
+            if args.format in (fmt, "both"):
+                run.write([f"layout.{fmt}"], [(export_layout(layout, fmt, config.layout),)])
     run.report("drc.json", {"findings": drc.to_records(), "passed": drc.passed})
     return 0
 
@@ -242,9 +245,9 @@ def _cmd_layout(run: _Run, args) -> int:
 def _cmd_budget(run: _Run, args) -> int:
     config = run.config
     report = stage_report(config.thermal, config.stages, run.catalog)
-    print(report.to_text(), end="")
-    run.write("budget.csv", report.to_csv())
-    run.write("budget.txt", report.to_text())
+    text = report.to_text()
+    print(text, end="")
+    run.write(["budget.csv", "budget.txt"], [(report.to_csv(), text)])
     run.report("budget.json", {"stages": [r.to_record() for r in report.rows]})
     return 0
 
@@ -310,12 +313,11 @@ def sweep_csv(run: _Run, decl, where: str) -> str:
 def _cmd_sweep(run: _Run, args) -> int:
     if not run.config.sweeps:
         raise ConfigInvalid("sweeps", "no sweep declarations in the config")
-    # Every point runs before the first write, so a failing one writes nothing.
-    texts = [sweep_csv(run, decl, f"sweeps[{i}]") for i, decl in enumerate(run.config.sweeps)]
-    for decl, text in zip(run.config.sweeps, texts):
-        slug = decl.parameter.replace(".", "_")
-        path = run.write(f"sweep_{slug}.csv", text)
-        print(f"{decl.parameter}: {len(decl.points)} points -> {path}")
+    names = [f"sweep_{decl.parameter.replace('.', '_')}.csv" for decl in run.config.sweeps]
+    for i, (decl, name) in enumerate(zip(run.config.sweeps, names)):
+        run.write([name], [(sweep_csv(run, decl, f"sweeps[{i}]"),)])
+    for decl, name in zip(run.config.sweeps, names):  # only once every CSV is staged
+        print(f"{decl.parameter}: {len(decl.points)} points -> {run.out_dir / name}")
     return 0
 
 
@@ -383,13 +385,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         run = _Run(args)
-        return args.func(run, args)
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with _committed(run):
+            return args.func(run, args)
     except (DensewireError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigInvalid) else 2
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ _SCHEMA = section(
                       coatings=optional(listof(pair(string, length)))),
     interposer=optional(section(
         dielectric=optional(string, "STYCAST-1266"),
-        eps_r=optional(number),
+        eps_r=optional(units.bounded(number, 1.0)),
         pin_hole_clearance=optional(positive_length, "100um")), {}),
     layout=section(
         qubit_pitch=length, array_side_count=integer(1), pad_diameter=length,
@@ -114,7 +114,7 @@ _SCHEMA = section(
             scale=optional(number), residual_resistivity=optional(number))))), {}),
     # Sweep end-points are read with the swept field's kind in _sweeps.
     sweeps=optional(listof(section(
-        parameter=string, start=raw, stop=raw, steps=integer(1)))),
+        parameter=string, start=raw, stop=raw, steps=integer(1)), unique="parameter")),
     annotations=optional(listof(ANNOTATION)),
 )
 
@@ -234,6 +234,9 @@ def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> De
     # Without a coax section the interposer coax is the pin in its hole.
     coax = doc.get("coax") or {"inner_diameter": pin_outer_diameter(pin_stack),
                                "outer_diameter": layout.hole_diameter}
+    if "coax" not in doc and coax["inner_diameter"] >= layout.hole_diameter:
+        raise ConfigInvalid("pin_stack", f"the finished pin ({coax['inner_diameter']:g} m) must "
+                            f"be narrower than layout.hole_diameter ({layout.hole_diameter:g} m)")
     if "eps_r" not in coax:
         coax.update(eps_r=eps_r, dielectric=dielectric)
 

@@ -100,9 +100,9 @@ def _is_lossless(e: NetworkElement) -> bool:
 def _lossless_abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
     """Real a, b, c, d with the lossless element's ABCD matrix [[a, jb], [jc, d]].
 
-    b and c are the imaginary parts that `_element_abcd` computes, in the
-    same operations: a line's c is s * (1 / z0), because numpy divides a
-    complex vector by a real scalar through its reciprocal.
+    `_element_abcd` returns a, jb, jc, d from these.  A line's c is
+    s * (1 / z0), the value numpy gives for a complex vector over the real
+    z0, which it divides through the reciprocal.
     """
     if isinstance(e, UniformLine):
         c, s = _line_phase(e, f, phases)
@@ -131,13 +131,11 @@ def _lossless_product(elements: list, f: np.ndarray) -> tuple:
 
 def _element_abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
     """A, B, C, D of one element over the grid `f`; each a scalar or a length-nf vector."""
-    if isinstance(e, UniformLine):
-        c, s = _line_phase(e, f, phases)
-        return c, 1j * e.z0 * s, 1j * s / e.z0, c
-    if isinstance(e, SeriesImpedance):
+    if _is_lossless(e):
+        a, b, c, d = _lossless_abcd(e, f, phases)
+        return a, 1j * b, 1j * c, d
+    if isinstance(e, SeriesImpedance):  # R > 0
         return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
-    if isinstance(e, ShuntAdmittance):
-        return 1.0, 0.0, 1j * 2.0 * math.pi * f * e.capacitance, 1.0
     raise TypeError(f"not a network element: {e!r}")
 
 

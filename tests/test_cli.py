@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from densewire import cli
 from densewire.cli import _write_atomic, main
 from densewire.config import parse_design_config
 from densewire.materials import default_catalog
@@ -16,6 +17,14 @@ from densewire.thermal import controller_budget
 
 def _raise_disk_full(text):
     raise OSError(28, "disk full")
+
+
+def _tree(out: Path) -> dict:
+    """Each entry of `out`: its inode and, for a file, its bytes.  A rename
+    onto a name changes its inode even when the bytes are the same."""
+    if not out.exists():
+        return {}
+    return {p.name: (p.stat().st_ino, p.is_file() and p.read_bytes()) for p in out.iterdir()}
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -215,6 +224,7 @@ class TestErrors:
         assert code == 2
         assert "layout.json" in capsys.readouterr().err
         assert list(out.glob("*.tmp")) == []
+        assert not (out / "layout.svg").exists() and not (out / "drc.json").exists()
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
     def test_failed_rf_write_writes_neither_file(self, tmp_path, config_file, monkeypatch,
@@ -242,6 +252,78 @@ class TestErrors:
         assert {p.name: p.read_bytes() for p in out.glob("*")} == before
         if not earlier:
             assert not (out / "rf_response.csv").exists() and not (out / "rf.s2p").exists()
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
+    def test_directory_in_the_way_renames_nothing(self, tmp_path, capsys, earlier):
+        out = tmp_path / "o"
+        if earlier:
+            assert main(["--out", str(out), "rf"]) == 0
+            (out / "rf.s2p").unlink()
+        (out / "rf.s2p").mkdir(parents=True)
+        before = _tree(out)
+        code = main(["--out", str(out), "rf"])
+        assert code == 2
+        assert "rf.s2p: is a directory" in capsys.readouterr().err
+        assert _tree(out) == before  # no new rf_response.csv, rf.json or *.tmp
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
+    @pytest.mark.parametrize("command", ["layout", "budget", "sweep", "rf"])
+    def test_failed_last_write_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                   command, earlier):
+        real = cli._write_atomic
+        calls = []
+
+        def counting(paths, parts):
+            calls.append(paths)
+            real(paths, parts)
+
+        monkeypatch.setattr(cli, "_write_atomic", counting)
+        assert main(["--out", str(tmp_path / "count"), command]) == 0
+        last = len(calls)
+        assert last >= 2  # the failing write comes after others have been staged
+        out = tmp_path / "o"
+        if earlier:
+            assert main(["--out", str(out), command]) == 0
+        before = _tree(out)
+        calls.clear()
+
+        def failing_last(paths, parts):
+            calls.append(paths)
+            if len(calls) == last:
+                raise OSError(28, "disk full")
+            real(paths, parts)
+
+        monkeypatch.setattr(cli, "_write_atomic", failing_last)
+        code = main(["--out", str(out), command])
+        assert code == 2
+        assert "disk full" in capsys.readouterr().err
+        assert len(calls) == last
+        assert _tree(out) == before
+        assert out.exists() == earlier
+
+    def test_failing_sweep_prints_no_path(self, tmp_path, config_file, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["sweeps"][1]["start"] = "1e300mm"  # sweeps[0] runs and is staged first
+        config_file.write_text(json.dumps(raw))
+        code, out = run_cli(["--config", str(config_file), "sweep"], tmp_path)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: sweeps[1]: ")
+        assert captured.out == "" and not out.exists()
+
+    def test_failed_svg_allocation_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        real = cli.export_layout
+
+        def export(layout, fmt, cfg):
+            if fmt == "svg":
+                raise MemoryError
+            return real(layout, fmt, cfg)
+
+        monkeypatch.setattr(cli, "export_layout", export)
+        code, out = run_cli(["layout"], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: layout.array_side_count: ")
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json"), "--out",
@@ -279,12 +361,12 @@ class TestWrite:
         text = "0123456789abcdef\n" * 470_589  # 8 MB of ASCII
         _, peak = traced_peak(_write_atomic, [tmp_path / "big.txt"], [(text,)])
         assert peak < 3 * 2**20
-        assert (tmp_path / "big.txt").read_text(encoding="utf-8") == text
+        assert (tmp_path / "big.txt.tmp").read_text(encoding="utf-8") == text
 
     def test_multibyte_text_across_slices(self, tmp_path):
         text = "a\u20ac\U0001d11e\n" * 300_000  # 1.2M characters, 2.7 MB of UTF-8
         _write_atomic([tmp_path / "utf8.txt"], [(text,)])
-        assert (tmp_path / "utf8.txt").read_bytes() == text.encode("utf-8")
+        assert (tmp_path / "utf8.txt.tmp").read_bytes() == text.encode("utf-8")
 
 
 class TestOverrides:

@@ -290,6 +290,18 @@ _BAD_INPUTS = [
      "impedance", "cpw"),  # k3 = 0/0 once both tanh arguments underflow
     # a count beyond the float range ended in OverflowError
     (("thermal", "controllers", 0, "count"), 10**400, "budget", "thermal.controllers[0].count"),
+    # a repeated sweep parameter replaced the first sweep's CSV with the second
+    (("sweeps", 1, "parameter"), "layout.hole_diameter", "sweep", "sweeps[1].parameter"),
+    # named `coax`, a section the config does not have: the coax is derived
+    # from the pin in its hole, and its fill from the interposer
+    (("pin_stack", "core_diameter"), 1, "impedance", "pin_stack"),
+    (("pin_stack", "core_diameter"), 0.5, "layout", "pin_stack"),
+    (("pin_stack", "core_diameter"), "400um", "rf", "pin_stack"),
+    (("interposer", "eps_r"), 0.5, "impedance", "interposer.eps_r"),
+    # an explicit coax section is named itself
+    (("coax",), {"inner_diameter": "300um", "outer_diameter": "100um"}, "impedance", "coax"),
+    (("coax",), {"inner_diameter": "100um", "outer_diameter": "300um", "eps_r": 0.5}, "impedance",
+     "coax"),
 ]
 
 
