@@ -21,7 +21,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .config import DesignConfig, load_design_config, parse_design_config, set_parameter
+# `load_design_config` stays here for perfbench's tracer.
+from .config import DesignConfig, load_design_config, parse_design_config, set_parameter  # noqa: F401
 from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
 from .layout import check_export_size, export_layout, generate_layout, run_drc
@@ -43,6 +44,7 @@ from .tlines import (
     line_propagation,
     pin_outer_diameter,
 )
+from .units import read_json
 
 ENV_MATERIALS = "DENSEWIRE_MATERIALS"
 _WRITE_SLICE = 1 << 20  # characters encoded per write
@@ -101,14 +103,12 @@ class _Run:
         self.catalog: MaterialCatalog = (
             load_catalog(materials_path) if materials_path else default_catalog()
         )
-        if args.config:
-            config_bytes = Path(args.config).read_bytes()
-            self.config: DesignConfig = load_design_config(args.config, self.catalog)
-        else:
-            config_bytes = (
-                resources.files("densewire").joinpath("data/default_config.json").read_bytes()
-            )
-            self.config = parse_design_config(json.loads(config_bytes), self.catalog)
+        # One read: the config's hash and its parse come from the same bytes.
+        source = (Path(args.config) if args.config
+                  else resources.files("densewire").joinpath("data/default_config.json"))
+        config_bytes = source.read_bytes()
+        self.config: DesignConfig = parse_design_config(
+            read_json(config_bytes, args.config or str(source)), self.catalog)
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()
 
     def write(self, names, parts) -> None:

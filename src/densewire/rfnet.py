@@ -4,23 +4,19 @@ The full path — ribbon CPW feed, impedance taper, coaxial pin section,
 bond-contact discontinuity — is modeled as a chain of two-port elements
 whose ABCD matrices multiply in order and convert to S-parameters
 against arbitrary (real) port reference impedances.  A network is its
-four ABCD entries, each a complex vector over the frequency grid, so the
-chain product is the 2x2 product written out on whole vectors.
+four ABCD entries, each a complex vector over the frequency grid.
 
-A lossless element (a line, a series jwL, a shunt jwC) has a real A and D
-and an imaginary B = jb and C = jc, and a product of such matrices keeps
-that form.  The cascade therefore carries the leading run of lossless
-elements as the four real vectors A, b, c and D, a block of frequencies
-at a time, and switches to complex vectors at the first element of
-another form, a series R > 0.  The real products give
-the values of the complex ones bit for bit; only the signs of zero parts
-may differ.
+Every element's matrix has the form [[a, jb], [jc, d]], and so has every
+product of them (Pozar, *Microwave Engineering*, ch. 4).  The cascade
+multiplies by one rule on the four vectors a, b, c and d, which are real
+while the chain is lossless and complex from a series R > 0 on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from typing import Union
@@ -91,16 +87,12 @@ def _line_phase(e: UniformLine, f: np.ndarray, phases: dict) -> tuple:
     return phases[key]
 
 
-def _is_lossless(e: NetworkElement) -> bool:
-    """Whether the element's ABCD matrix is [[a, jb], [jc, d]] with a, b, c, d real."""
-    return (isinstance(e, (UniformLine, ShuntAdmittance))
-            or isinstance(e, SeriesImpedance) and e.resistance == 0)
+def _abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
+    """a, b, c, d of the element's ABCD matrix [[a, jb], [jc, d]] over the grid `f`;
+    each a scalar or a vector.
 
-
-def _lossless_abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
-    """Real a, b, c, d with the lossless element's ABCD matrix [[a, jb], [jc, d]].
-
-    `_element_abcd` returns a, jb, jc, d from these.  A line's c is
+    They are real for a lossless element (a line, a series jwL, a shunt jwC).
+    A series R > 0 has b = wL - jR, so that jb = R + jwL.  A line's c is
     s * (1 / z0), the value numpy gives for a complex vector over the real
     z0, which it divides through the reciprocal.
     """
@@ -108,35 +100,22 @@ def _lossless_abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
         c, s = _line_phase(e, f, phases)
         return c, e.z0 * s, s * (1.0 / e.z0), c
     if isinstance(e, SeriesImpedance):
-        return 1.0, 2.0 * math.pi * f * e.inductance, 0.0, 1.0
-    return 1.0, 0.0, 2.0 * math.pi * f * e.capacitance, 1.0
-
-
-def _lossless_product(elements: list, f: np.ndarray) -> tuple:
-    """Real A, b, c, D of the product [[A, jb], [jc, D]] of lossless elements over `f`.
-
-    An element [[ea, j eb], [j ec, ed]] takes the product to
-
-        A' = A ea - b ec,  b' = A eb + b ed,  c' = c ea + D ec,  D' = D ed - c eb,
-
-    the values of the real and imaginary parts of the complex product.
-    """
-    phases: dict = {}
-    factors = (_lossless_abcd(e, f, phases) for e in elements)
-    A, b, c, D = next(factors)
-    for ea, eb, ec, ed in factors:
-        A, b, c, D = A * ea - b * ec, A * eb + b * ed, c * ea + D * ec, D * ed - c * eb
-    return A, b, c, D
-
-
-def _element_abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
-    """A, B, C, D of one element over the grid `f`; each a scalar or a length-nf vector."""
-    if _is_lossless(e):
-        a, b, c, d = _lossless_abcd(e, f, phases)
-        return a, 1j * b, 1j * c, d
-    if isinstance(e, SeriesImpedance):  # R > 0
-        return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
+        x = 2.0 * math.pi * f * e.inductance
+        return 1.0, (x - 1j * e.resistance if e.resistance else x), 0.0, 1.0
+    if isinstance(e, ShuntAdmittance):
+        return 1.0, 0.0, 2.0 * math.pi * f * e.capacitance, 1.0
     raise TypeError(f"not a network element: {e!r}")
+
+
+def _product(p: tuple, e: tuple) -> tuple:
+    """A, b, c, D of [[A, jb], [jc, D]] times [[ea, j eb], [j ec, ed]]:
+
+        A' = A ea - b ec,  b' = A eb + b ed,  c' = c ea + D ec,  D' = D ed - c eb.
+
+    The rule holds for real and complex entries alike.
+    """
+    (A, b, c, D), (ea, eb, ec, ed) = p, e
+    return A * ea - b * ec, A * eb + b * ed, c * ea + D * ec, D * ed - c * eb
 
 
 @dataclass(frozen=True)
@@ -155,6 +134,8 @@ class TwoPortNetwork:
         f = np.asarray(self.frequencies, dtype=float)
         if f.ndim != 1 or f.size == 0:
             raise ValueError("frequencies must be a nonempty 1-D array")
+        if not np.isfinite(f).all():
+            raise ValueError("frequencies must be finite")
         if f[0] < 0 or np.any(np.diff(f) <= 0):
             raise ValueError("frequencies must be non-negative and strictly increasing")
         if self.z_src <= 0 or self.z_load <= 0:
@@ -163,10 +144,10 @@ class TwoPortNetwork:
             raise ValueError("A, B, C and D must each be a vector of one entry per frequency")
 
 
-# Frequency points per pass of the lossless product.  The dozen or so real
-# vectors a pass holds, 64 KiB each, stay in a core's L2 cache; at 100k
-# points the whole grid's would not.  On a Xeon with 2 MiB of L2 per core,
-# the 67-element, 100k-point path took 0.075 s in passes of 8192 points,
+# Frequency points per pass of the product.  The dozen or so real vectors a
+# pass holds, 64 KiB each, stay in a core's L2 cache; at 100k points the
+# whole grid's would not.  On a Xeon with 2 MiB of L2 per core, the
+# 67-element, 100k-point path took 0.075 s in passes of 8192 points,
 # 0.096 s in passes of 4096 and 0.135 s in a single pass.
 _PASS = 8192
 
@@ -174,34 +155,25 @@ _PASS = 8192
 def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) -> TwoPortNetwork:
     """Multiply element ABCD matrices in chain order (first element at the source).
 
-    The leading run of lossless elements is multiplied in real arithmetic
-    (`_lossless_product`), a block of frequencies at a time, and written
-    into complex vectors as A, jb, jc and D, with +0 as the real parts of B
-    and C.  From the first element of another form (a series R > 0) on,
-    the chain is multiplied in complex arithmetic.  Either
-    way A, B, C and D equal the all-complex product in value; the signs of
-    their zero parts may differ.
+    Every element is [[a, jb], [jc, d]] (`_abcd`), and so is every product
+    (`_product`), so the chain is carried as the four vectors A, b, c and D:
+    real while it is lossless, complex from a series R > 0 on.  It is
+    multiplied `_PASS` frequencies at a time and written out as A, jb, jc
+    and D.  These equal the textbook all-complex product in value; the
+    signs of their zero parts may differ.  The grid and the port
+    references are checked before the first product.
     """
     elements = list(elements)
     if not elements:
         raise ValueError("cascade requires at least one element")
     f = np.asarray(frequencies, dtype=float)
-    phases: dict = {}
-    n = next((i for i, e in enumerate(elements) if not _is_lossless(e)), len(elements))
-    if n:
-        A, B, C, D = (np.zeros(f.shape, dtype=complex) for _ in range(4))
-        for i in range(0, f.size, _PASS):
-            part = slice(i, i + _PASS)
-            A.real[part], B.imag[part], C.imag[part], D.real[part] = _lossless_product(
-                elements[:n], f[part])
-    else:
-        A, B, C, D = _element_abcd(elements[0], f, phases)
-        n = 1
-    for e in elements[n:]:
-        a, b, c, d = _element_abcd(e, f, phases)
-        A, B, C, D = A * a + B * c, A * b + B * d, C * a + D * c, C * b + D * d
-    A, B, C, D = (np.broadcast_to(v, f.shape).astype(complex, copy=False) for v in (A, B, C, D))
-    return TwoPortNetwork(f, A, B, C, D, z_src=z_src, z_load=z_load)
+    net = TwoPortNetwork(f, *(np.zeros(f.shape, dtype=complex) for _ in range(4)),
+                         z_src=z_src, z_load=z_load)
+    for i in range(0, f.size, _PASS):
+        part, phases = slice(i, i + _PASS), {}
+        a, b, c, d = reduce(_product, (_abcd(e, f[part], phases) for e in elements))
+        net.A[part], net.B[part], net.C[part], net.D[part] = a, 1j * b, 1j * c, d
+    return net
 
 
 @dataclass(frozen=True)

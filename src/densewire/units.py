@@ -20,6 +20,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 from .errors import ConfigInvalid, DensewireError
 
@@ -98,13 +99,17 @@ parse_inductance = quantity(INDUCTANCE_UNITS, "inductance")
 
 
 def load_json(path) -> object:
-    """The JSON document in the file at `path`; malformed JSON or text that
-    is not UTF-8 raises ConfigInvalid naming the path."""
+    """The JSON document in the file at `path`, read by `read_json`."""
+    return read_json(Path(path).read_bytes(), str(path))
+
+
+def read_json(data: bytes, where: str) -> object:
+    """The JSON document in `data`; malformed JSON or text that is not
+    UTF-8 raises ConfigInvalid naming `where`."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
+        return json.loads(data.decode("utf-8"))
     except ValueError as exc:
-        raise ConfigInvalid(str(path), f"not valid JSON: {exc}") from None
+        raise ConfigInvalid(where, f"not valid JSON: {exc}") from None
 
 
 def _finite(value, where: str) -> float:

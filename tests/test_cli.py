@@ -201,6 +201,33 @@ class TestErrors:
         assert code == 1
         assert "layout.qubit_pitch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("encode", [
+        lambda text: b"{nope", lambda text: b"\xff" + text.encode(),
+        lambda text: text.encode("utf-16")], ids=["malformed", "not-utf8", "utf16"])
+    def test_unreadable_config_exits_1_naming_the_path(self, tmp_path, config_file, capsys,
+                                                        encode):
+        config_file.write_bytes(encode(config_file.read_text()))
+        code = main(["--config", str(config_file), "--out", str(tmp_path / "o"), "scale"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {config_file}: not valid JSON: ")
+
+    def test_config_hash_and_parse_come_from_one_read(self, tmp_path, config_file,
+                                                      monkeypatch):
+        # The read returns other contents than the file holds: the report must
+        # be that of the contents read, as must its config_sha256.
+        doc = json.loads(config_file.read_text())
+        doc["qubit_array"]["qubit_pitch"] = "1mm"
+        config_file.write_text(json.dumps(doc))
+        built_in = resources.files("densewire").joinpath("data/default_config.json").read_bytes()
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda path: built_in if path == config_file else read_bytes(path))
+        assert main(["--config", str(config_file), "--out", str(tmp_path / "o"), "scale"]) == 0
+        monkeypatch.undo()
+        assert main(["--out", str(tmp_path / "built-in"), "scale"]) == 0
+        assert ((tmp_path / "o/scale.json").read_bytes()
+                == (tmp_path / "built-in/scale.json").read_bytes())
+
     def test_empty_sweeps_exit_1(self, tmp_path, config_file, capsys):
         doc = json.loads(config_file.read_text())
         doc["sweeps"] = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from densewire import rfnet
 from densewire.rfnet import (
     _BLOCK,
     _PASS,
@@ -190,9 +191,40 @@ class TestCascade:
         for name in ("s11", "s21", "s12", "s22"):
             assert getattr(got, name).tobytes() == getattr(exp, name).tobytes()
 
+    def test_lossy_elements_across_passes(self):
+        # A series R > 0 first and one in the middle, over two passes and a part.
+        rf = RfSettings(points=2 * _PASS + 3, feed_length=0.03, taper_length=0.01,
+                        taper_segments=16, bond_inductance=45e-12)
+        chain = build_signal_path(rf, 0.02, 14.0, **EPS)
+        chain.insert(len(chain) // 2, SeriesImpedance(0.5, 20e-12))
+        chain.insert(0, SeriesImpedance(2.0, 0.0))
+        self.assert_equals_complex_product(chain, np.linspace(*rf.band, rf.points), 50.0)
+
     def test_frequencies_must_increase(self):
         with pytest.raises(ValueError):
             cascade([SeriesImpedance(1.0)], [1e9, 1e9])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("grid", [[None], [None, 1e9], [1e9, None, 2e9]],
+                             ids=["alone", "first", "middle"])
+    def test_frequencies_must_be_finite(self, monkeypatch, grid, bad):
+        freqs = [bad if f is None else f for f in grid]
+        with pytest.raises(ValueError, match="finite"):
+            TwoPortNetwork(np.array(freqs), *np.zeros((4, len(freqs)), dtype=complex))
+
+        def no_product(*args):
+            raise AssertionError("the grid is checked before the first product")
+        monkeypatch.setattr(rfnet, "_abcd", no_product)
+        monkeypatch.setattr(rfnet, "_product", no_product)
+        with pytest.raises(ValueError, match="finite"):
+            cascade([UniformLine(50.0, 3.0, 0.01)], freqs)
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_non_element_is_a_type_error(self, at):
+        chain = [UniformLine(50.0, 3.0, 0.01), SeriesImpedance(0.5, 1e-9)]
+        chain.insert(at, (1.0, 0.0, 0.0, 1.0))
+        with pytest.raises(TypeError, match="not a network element"):
+            cascade(chain, [1e9, 2e9])
 
 
 class TestSParameters:
