@@ -27,8 +27,6 @@ from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
 from .layout import check_export_size, export_layout, generate_layout, run_drc
 from .materials import MaterialCatalog, default_catalog, load_catalog
-# `rf` streams `response_texts`; the whole-text writers stay here for perfbench's tracer.
-from .rfnet import mismatch_report, response_csv, response_texts, touchstone  # noqa: F401
 from .scaling import (
     LATERAL,
     lateral_scaling_report,
@@ -48,6 +46,30 @@ from .units import read_json
 
 ENV_MATERIALS = "DENSEWIRE_MATERIALS"
 _WRITE_SLICE = 1 << 20  # characters encoded per write
+
+
+# Only `rf` needs rfnet, and with it numpy, so these import it on their first
+# call: every other subcommand starts without numpy.  `_cmd_rf` looks them up
+# in this module's globals at call time, where perfbench's tracer wraps them.
+# `rf` streams `response_texts`; the whole-text writers stay for the tracer.
+def mismatch_report(*args, **kwargs):
+    from .rfnet import mismatch_report
+    return mismatch_report(*args, **kwargs)
+
+
+def response_texts(*args, **kwargs):
+    from .rfnet import response_texts
+    return response_texts(*args, **kwargs)
+
+
+def response_csv(*args, **kwargs):
+    from .rfnet import response_csv
+    return response_csv(*args, **kwargs)
+
+
+def touchstone(*args, **kwargs):
+    from .rfnet import touchstone
+    return touchstone(*args, **kwargs)
 
 
 def _write_atomic(paths, parts) -> None:
@@ -85,6 +107,15 @@ def _committed(run: _Run):
 
 
 @contextlib.contextmanager
+def _readable(option: str, path):
+    """Turn a file that cannot be read into a config error naming the option that gave it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigInvalid(option, f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
 def _fits_in_memory(field: str, what: str):
     """Turn a failed allocation into a config error naming the field that sized it."""
     try:
@@ -99,14 +130,17 @@ class _Run:
     def __init__(self, args):
         self.out_dir = Path(args.out)
         self.staged: list[Path] = []  # artifact paths written as <name>.tmp
+        option = "--materials" if args.materials else f"${ENV_MATERIALS}"
         materials_path = args.materials or os.environ.get(ENV_MATERIALS)
-        self.catalog: MaterialCatalog = (
-            load_catalog(materials_path) if materials_path else default_catalog()
-        )
+        with _readable(option, materials_path):
+            self.catalog: MaterialCatalog = (
+                load_catalog(materials_path) if materials_path else default_catalog()
+            )
         # One read: the config's hash and its parse come from the same bytes.
         source = (Path(args.config) if args.config
                   else resources.files("densewire").joinpath("data/default_config.json"))
-        config_bytes = source.read_bytes()
+        with _readable("--config", source):
+            config_bytes = source.read_bytes()
         self.config: DesignConfig = parse_design_config(
             read_json(config_bytes, args.config or str(source)), self.catalog)
         self.config_sha256 = hashlib.sha256(config_bytes).hexdigest()

@@ -19,13 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import units
 from .errors import ConfigInvalid
 from .layout import ANNOTATION, Annotation, LayoutConfig
 from .materials import MaterialCatalog, default_catalog
-from .rfnet import RfSettings
 from .scaling import BondWireGeometry, QubitArraySpec, WiringArchitecture, wire_pitch_from_bonds
 from .tlines import CoaxSpec, CpwSpec, PinStack, pin_outer_diameter
 from .thermal import (
@@ -37,6 +34,37 @@ from .thermal import (
     default_stage_model,
 )
 from .units import build, flag, integer, listof, number, optional, pair, raw, section, string
+
+
+MAX_BAND_HZ = 10e9  # the interconnect is specified DC to ~10 GHz
+
+
+@dataclass(frozen=True)
+class RfSettings:
+    """The swept band and the signal path's feed, taper and bond."""
+
+    band: tuple[float, float] = (0.0, 10e9)
+    points: int = 1001
+    system_impedance: float = 50.0
+    feed_length: float = 0.0
+    taper_length: float = 0.0
+    taper_segments: int = 16
+    bond_resistance: float = 0.0
+    bond_inductance: float = 0.0
+
+    def __post_init__(self):
+        f_lo, f_hi = self.band
+        if not 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9):
+            raise ValueError(f"band must satisfy 0 <= f_lo < f_hi <= {MAX_BAND_HZ:.0e} Hz")
+        if self.points < 2:
+            raise ValueError("points must be >= 2")
+        if self.taper_segments < 1:
+            raise ValueError("taper_segments must be >= 1")
+        if self.system_impedance <= 0:
+            raise ValueError("system_impedance must be > 0")
+        if min(self.feed_length, self.taper_length, self.bond_resistance,
+               self.bond_inductance) < 0:
+            raise ValueError("lengths, bond_resistance and bond_inductance must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,6 +187,27 @@ def _thermal(doc: dict, stages: StageModel, cat: MaterialCatalog) -> ThermalArch
     return ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))
 
 
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """`n` evenly spaced floats from `start` to `stop`, both included, by
+    numpy's own formula, so they equal `numpy.linspace(start, stop, n)`
+    bit for bit: i*step + start, or (i/div)*delta + start when the step
+    rounds to zero, with the last point `stop` itself.
+
+    The list is allocated whole before it is filled, so a count beyond
+    memory raises MemoryError at once instead of growing until it does.
+    """
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if n == 1:
+        return [0.0 * delta + start]
+    pts = [stop] * n
+    div = n - 1
+    step = delta / div
+    for i in range(div):
+        pts[i] = i * step + start if step else i / div * delta + start
+    return pts
+
+
 def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
     """Each sweep's path must name a numeric field that this config sets,
     outside `sweeps`: a point's config leaves the sweeps out."""
@@ -187,7 +236,7 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
             raise ConfigInvalid(f"{where}.steps",
                                 f"1 step needs start == stop, got {start:g} and {stop:g}")
         try:
-            points = tuple(np.linspace(start, stop, steps).tolist())
+            points = tuple(_linspace(start, stop, steps))
         except MemoryError:
             raise ConfigInvalid(f"{where}.steps", f"{steps} points do not fit in memory") from None
         if type(start) is int and any(  # an integer field takes integral points only

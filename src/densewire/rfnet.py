@@ -10,6 +10,10 @@ Every element's matrix has the form [[a, jb], [jc, d]], and so has every
 product of them (Pozar, *Microwave Engineering*, ch. 4).  The cascade
 multiplies by one rule on the four vectors a, b, c and d, which are real
 while the chain is lossless and complex from a series R > 0 on.
+
+This is the one module that imports numpy, and only the `rf` subcommand
+imports it.  `RfSettings` and `MAX_BAND_HZ` are defined with the config
+reader and re-exported here.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Union
 
 import numpy as np
 
+from .config import MAX_BAND_HZ, RfSettings  # noqa: F401
 from .errors import OutOfRange
 from .tlines import SPEED_OF_LIGHT
 
@@ -233,37 +238,6 @@ class MismatchReport:
             "passivity_residual": float(np.max(np.abs(
                 np.abs(self.response.s11) ** 2 + np.abs(self.response.s21) ** 2 - 1.0))),
         }
-
-
-MAX_BAND_HZ = 10e9  # the interconnect is specified DC to ~10 GHz
-
-
-@dataclass(frozen=True)
-class RfSettings:
-    """The swept band and the signal path's feed, taper and bond."""
-
-    band: tuple[float, float] = (0.0, 10e9)
-    points: int = 1001
-    system_impedance: float = 50.0
-    feed_length: float = 0.0
-    taper_length: float = 0.0
-    taper_segments: int = 16
-    bond_resistance: float = 0.0
-    bond_inductance: float = 0.0
-
-    def __post_init__(self):
-        f_lo, f_hi = self.band
-        if not 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9):
-            raise ValueError(f"band must satisfy 0 <= f_lo < f_hi <= {MAX_BAND_HZ:.0e} Hz")
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
-        if self.taper_segments < 1:
-            raise ValueError("taper_segments must be >= 1")
-        if self.system_impedance <= 0:
-            raise ValueError("system_impedance must be > 0")
-        if min(self.feed_length, self.taper_length, self.bond_resistance,
-               self.bond_inductance) < 0:
-            raise ValueError("lengths, bond_resistance and bond_inductance must be >= 0")
 
 
 def build_signal_path(rf: RfSettings, pin_length: float, interposer_z: float, *,

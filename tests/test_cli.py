@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -355,7 +356,28 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json"), "--out",
                      str(tmp_path / "o"), "scale"])
-        assert code == 2
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --config: cannot read ")
+
+    # Each exited 2 with a bare "[Errno 2]" or "[Errno 21]", the code of an
+    # analysis error, though no analysis had run.
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("option", ["--config", "--materials", "$DENSEWIRE_MATERIALS"])
+    def test_unreadable_input_path_exits_1_naming_the_option(self, tmp_path, capsys,
+                                                              monkeypatch, option, kind):
+        path = tmp_path / "in.json"
+        if kind == "directory":
+            path.mkdir()
+        if option.startswith("$"):
+            monkeypatch.setenv(option[1:], str(path))
+            argv = []
+        else:
+            argv = [option, str(path)]
+        code, out = run_cli([*argv, "scale"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: cannot read {path}: "), err
+        assert "Errno" not in err and not out.exists()
 
 
 class TestParserReuse:
@@ -462,3 +484,28 @@ def test_package_import_loads_no_submodule():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs each command in one fresh interpreter and reports, after the import
+# and after each command, whether numpy has been loaded.
+_NUMPY_PROBE = r"""
+import json, sys
+from densewire.cli import main
+loaded = {"import": "numpy" in sys.modules}
+for command in sys.argv[2:]:
+    main(["--out", sys.argv[1], command])
+    loaded[command] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_rf_loads_numpy(tmp_path):
+    commands = ["scale", "impedance", "layout", "budget", "sweep", "paper-check", "rf"]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path), *commands],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": False, **{c: c == "rf" for c in commands}}

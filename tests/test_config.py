@@ -2,11 +2,14 @@ import contextlib
 import copy
 import io
 import json
+import random
 import re
+import struct
 import tempfile
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +113,48 @@ def test_sweep_end_points_take_the_swept_field_kind(raw, catalog):
                       "stop": "auto", "steps": 2}]
     with pytest.raises(ConfigInvalid, match=r"^sweeps\[0\]\.start: "):
         parse_design_config(raw, catalog)
+
+
+def _bits(points) -> list[bytes]:
+    return [struct.pack("<d", x) for x in points]
+
+
+def _random_end(rng: random.Random):
+    k = rng.randrange(4)
+    if k == 0:  # zeros, subnormals and the ends of the float range
+        return rng.choice((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1e308, -1.7976931348623157e308))
+    if k == 1:  # an integer field's end-point
+        return rng.randint(-10**6, 10**6)
+    if k == 2:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 307)
+    return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]  # any bit pattern
+
+
+@pytest.mark.parametrize("start, stop, steps", [
+    (0.0, 1.0, 11), (2e-4, 3e-4, 5), (1e9, 2e9, 21),
+    (-0.0, -0.0, 1), (0.0, -0.0, 3), (-0.0, 0.0, 3), (1.0, 2.0, 1), (2.5, 2.5, 1),
+    (5e-324, 1e-322, 7),  # a subnormal step
+    (0.0, 5e-324, 4),  # a step that rounds to zero
+    (-1e308, 1e308, 5),  # a delta beyond the float range
+    (1, 400, 20), (-7, 12, 4), (3, 3, 1),  # integer end-points
+])
+def test_sweep_points_equal_numpy_linspace(start, stop, steps):
+    with np.errstate(all="ignore"):  # a delta beyond the float range gives inf and nan
+        expected = np.linspace(start, stop, steps).tolist()
+    assert _bits(config_module._linspace(start, stop, steps)) == _bits(expected)
+
+
+def test_sweep_points_equal_numpy_linspace_at_random():
+    rng = random.Random(20)
+    for _ in range(20_000):
+        start, stop, steps = _random_end(rng), _random_end(rng), rng.randint(1, 40)
+        if not all(np.isfinite((start, stop))):
+            continue
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, steps).tolist()
+        assert _bits(config_module._linspace(start, stop, steps)) == _bits(expected), \
+            (start, stop, steps)
 
 
 def test_notes_keys_are_ignored(raw, catalog):
