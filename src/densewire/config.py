@@ -1,11 +1,14 @@
 """Design-config parsing: one JSON document describing the whole design.
 
-Every field is read through one declarative schema (`_SCHEMA`) of field
-kinds from `units`.  Dimensional fields carry explicit unit suffixes
-("500um", "10GHz"); bare numbers are read as base SI units.  Keys named
-"notes" or starting with an underscore are ignored everywhere, so configs
-can be annotated.  Every type, unit, range or reference error raises
-ConfigInvalid naming the dotted field path.
+Parsing takes two steps.  `read_design_config` reads every field through
+one declarative schema (`_SCHEMA`) of field kinds from `units`.  Then the
+builders of `_BUILDERS`, each keyed by the top-level sections it reads,
+resolve the read document into a DesignConfig; a sweep point runs only the
+builder of the section its field is in.  Dimensional fields carry explicit
+unit suffixes ("500um", "10GHz"); bare numbers are read as base SI units.
+Keys named "notes" or starting with an underscore are ignored everywhere,
+so configs can be annotated.  Every type, unit, range or reference error
+raises ConfigInvalid naming the dotted field path.
 
 Derivations tie the sections together the way the hardware does:
   * the interposer coax inherits inner diameter from the finished pin and
@@ -16,7 +19,7 @@ Derivations tie the sections together the way the hardware does:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import units
@@ -147,44 +150,128 @@ _SCHEMA = section(
 )
 
 
-def _wiring(entries: tuple[dict, ...]) -> tuple[WiringArchitecture, ...]:
-    if not entries:
+# Resolving: each builder turns the read sections it is keyed by in
+# `_BUILDERS` into DesignConfig fields.  No builder writes to the read
+# document, so a sweep point shares every section off its path with the
+# run's read document.
+
+
+def _qubit_array(doc: dict, cat: MaterialCatalog) -> dict:
+    return {"qubit_array": build(QubitArraySpec, "qubit_array", **doc["qubit_array"])}
+
+
+def _wiring(doc: dict, cat: MaterialCatalog) -> dict:
+    if not doc["wiring"]:
         raise ConfigInvalid("wiring", "expected a nonempty list of wiring architectures")
     out = []
-    for i, d in enumerate(entries):
+    for i, d in enumerate(doc["wiring"]):
         where = f"wiring[{i}]"
         if ("wire_pitch" in d) == ("bond_geometry" in d):
             raise ConfigInvalid(where, "needs exactly one of wire_pitch or bond_geometry")
         if "bond_geometry" in d:
-            geom = build(BondWireGeometry, f"{where}.bond_geometry", **d.pop("bond_geometry"))
+            geom = build(BondWireGeometry, f"{where}.bond_geometry", **d["bond_geometry"])
+            d = {k: v for k, v in d.items() if k != "bond_geometry"}
             d.update(wire_pitch=wire_pitch_from_bonds(geom), provenance="derived_from_bond_geometry")
         out.append(build(WiringArchitecture, where, **d))
-    return tuple(out)
+    return {"wiring": tuple(out)}
 
 
-def _pop_stage(entry: dict, stages: StageModel, where: str) -> str:
-    name = entry.pop("stage")
+def _interposer(doc: dict, cat: MaterialCatalog) -> dict:
+    """The layout, the pin stack and the interposer coax: an "auto" pin core
+    fills the hole, and without a coax section the coax is the pin in its hole."""
+    layout = build(LayoutConfig, "layout", **doc["layout"])
+
+    interposer = doc["interposer"]
+    dielectric = interposer["dielectric"]
+    eps_r = interposer.get("eps_r")
+    if eps_r is None:
+        if dielectric not in cat:
+            raise ConfigInvalid("interposer.dielectric", f"unknown material {dielectric!r}")
+        eps_r = cat.lookup(dielectric).relative_permittivity
+        if eps_r is None:
+            raise ConfigInvalid("interposer.dielectric",
+                                f"{dielectric!r} has no relative permittivity")
+
+    pin = doc["pin_stack"]
+    if pin["core_diameter"] == "auto":
+        core = (layout.hole_diameter - interposer["pin_hole_clearance"]
+                - 2.0 * sum(t for _, t in pin.get("coatings", ())))
+        if core <= 0:
+            raise ConfigInvalid(
+                "pin_stack.core_diameter",
+                "auto-derived core is not positive; check hole diameter and clearance")
+        pin = pin | {"core_diameter": core}
+    pin_stack = build(PinStack, "pin_stack", **pin)
+    for i, (name, _) in enumerate(pin_stack.coatings):
+        if name not in cat:
+            raise ConfigInvalid(f"pin_stack.coatings[{i}][0]", f"material {name!r} not in catalog")
+
+    coax = doc.get("coax") or {"inner_diameter": pin_outer_diameter(pin_stack),
+                               "outer_diameter": layout.hole_diameter}
+    if "coax" not in doc and coax["inner_diameter"] >= layout.hole_diameter:
+        raise ConfigInvalid("pin_stack", f"the finished pin ({coax['inner_diameter']:g} m) must "
+                            f"be narrower than layout.hole_diameter ({layout.hole_diameter:g} m)")
+    if "eps_r" not in coax:
+        coax = coax | {"eps_r": eps_r, "dielectric": dielectric}
+    return {"layout": layout, "pin_stack": pin_stack, "coax": build(CoaxSpec, "coax", **coax)}
+
+
+def _cpw(doc: dict, cat: MaterialCatalog) -> dict:
+    return {"cpw": build(CpwSpec, "cpw", **doc["cpw"]) if "cpw" in doc else None}
+
+
+def _rf(doc: dict, cat: MaterialCatalog) -> dict:
+    return {"rf": build(RfSettings, "rf", **doc["rf"])}
+
+
+def _stage(entry: dict, stages: StageModel, where: str) -> str:
+    name = entry["stage"]
     if not any(s.name == name for s in stages.stages):
         raise ConfigInvalid(f"{where}.stage", f"references unknown stage {name!r}")
     return name
 
 
-def _thermal(doc: dict, stages: StageModel, cat: MaterialCatalog) -> ThermalArchitecture:
+def _thermal(doc: dict, cat: MaterialCatalog) -> dict:
+    """The stages, and the controllers and conduction paths that name them."""
+    stages = default_stage_model()
+    if "stages" in doc:
+        stages = build(StageModel, "stages", stages=tuple(
+            build(Stage, f"stages[{i}]", **s) for i, s in enumerate(doc["stages"])))
     controllers = []
-    for i, c in enumerate(doc.get("controllers", ())):
+    for i, c in enumerate(doc["thermal"].get("controllers", ())):
         where = f"thermal.controllers[{i}]"
-        stage = _pop_stage(c, stages, where)
+        stage = _stage(c, stages, where)
         tech = build(controller_tech, where, name=c["tech"],
                      power_per_qubit=c.get("power_per_qubit"))
         controllers.append((stage, c["count"], tech))
     paths = []
-    for i, p in enumerate(doc.get("paths", ())):
+    for i, p in enumerate(doc["thermal"].get("paths", ())):
         where = f"thermal.paths[{i}]"
-        stage = _pop_stage(p, stages, where)
+        stage = _stage(p, stages, where)
         if p["material"] not in cat:
             raise ConfigInvalid(f"{where}.material", f"material {p['material']!r} not in catalog")
-        paths.append((stage, build(ConductionPath, where, **p)))
-    return ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))
+        paths.append((stage, build(ConductionPath, where,
+                                   **{k: v for k, v in p.items() if k != "stage"})))
+    return {"stages": stages,
+            "thermal": ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))}
+
+
+def _annotations(doc: dict, cat: MaterialCatalog) -> dict:
+    return {"annotations": tuple(Annotation(**a) for a in doc.get("annotations", ()))}
+
+
+# Every builder, keyed by the top-level sections it reads, in the order a
+# parse runs them.  A sweep point runs only the one its field's section names.
+_BUILDERS = (
+    (("qubit_array",), _qubit_array),
+    (("wiring",), _wiring),
+    (("layout", "pin_stack", "interposer", "coax"), _interposer),
+    (("cpw",), _cpw),
+    (("rf",), _rf),
+    (("stages", "thermal"), _thermal),
+    (("annotations",), _annotations),
+)
+_BUILDER_OF = {name: builder for names, builder in _BUILDERS for name in names}
 
 
 def _linspace(start: float, stop: float, n: int) -> list[float]:
@@ -227,11 +314,12 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
             except (IndexError, KeyError):
                 raise ConfigInvalid(f"{where}.parameter",
                                     f"{d['parameter']!r} is not set in this config") from None
+        ends = []
         for end in ("start", "stop"):
-            d[end] = kind(d[end], f"{where}.{end}")
-            if type(d[end]) not in (int, float):  # a flag, string or section
+            ends.append(kind(d[end], f"{where}.{end}"))
+            if type(ends[-1]) not in (int, float):  # a flag, string or section
                 raise ConfigInvalid(f"{where}.{end}", f"{d['parameter']} is not a numeric field")
-        start, stop, steps = d["start"], d["stop"], d["steps"]
+        (start, stop), steps = ends, d["steps"]
         if steps == 1 and start != stop:
             raise ConfigInvalid(f"{where}.steps",
                                 f"1 step needs start == stop, got {start:g} and {stop:g}")
@@ -247,71 +335,38 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
     return tuple(out)
 
 
+def read_design_config(raw: dict) -> dict:
+    """The first step of parsing: `raw` read through `_SCHEMA`, every
+    quantity in SI units.  The second step, the builders, never writes to it."""
+    return _SCHEMA(raw, "")
+
+
 def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> DesignConfig:
-    """Validate and resolve a raw config dict into a DesignConfig."""
+    """Validate and resolve a raw config dict into a DesignConfig: read it,
+    then run every builder on the read document."""
     cat = catalog if catalog is not None else default_catalog()
-    doc = _SCHEMA(raw, "")
-
-    qubit_array = build(QubitArraySpec, "qubit_array", **doc["qubit_array"])
-    wiring = _wiring(doc["wiring"])
-    layout = build(LayoutConfig, "layout", **doc["layout"])
-
-    interposer = doc["interposer"]
-    dielectric = interposer["dielectric"]
-    eps_r = interposer.get("eps_r")
-    if eps_r is None:
-        if dielectric not in cat:
-            raise ConfigInvalid("interposer.dielectric", f"unknown material {dielectric!r}")
-        eps_r = cat.lookup(dielectric).relative_permittivity
-        if eps_r is None:
-            raise ConfigInvalid("interposer.dielectric",
-                                f"{dielectric!r} has no relative permittivity")
-
-    pin = doc["pin_stack"]
-    if pin["core_diameter"] == "auto":
-        pin["core_diameter"] = (layout.hole_diameter - interposer["pin_hole_clearance"]
-                                - 2.0 * sum(t for _, t in pin.get("coatings", ())))
-        if pin["core_diameter"] <= 0:
-            raise ConfigInvalid(
-                "pin_stack.core_diameter",
-                "auto-derived core is not positive; check hole diameter and clearance")
-    pin_stack = build(PinStack, "pin_stack", **pin)
-    for i, (name, _) in enumerate(pin_stack.coatings):
-        if name not in cat:
-            raise ConfigInvalid(f"pin_stack.coatings[{i}][0]", f"material {name!r} not in catalog")
-
-    # Without a coax section the interposer coax is the pin in its hole.
-    coax = doc.get("coax") or {"inner_diameter": pin_outer_diameter(pin_stack),
-                               "outer_diameter": layout.hole_diameter}
-    if "coax" not in doc and coax["inner_diameter"] >= layout.hole_diameter:
-        raise ConfigInvalid("pin_stack", f"the finished pin ({coax['inner_diameter']:g} m) must "
-                            f"be narrower than layout.hole_diameter ({layout.hole_diameter:g} m)")
-    if "eps_r" not in coax:
-        coax.update(eps_r=eps_r, dielectric=dielectric)
-
-    stages = default_stage_model()
-    if "stages" in doc:
-        stages = build(StageModel, "stages", stages=tuple(
-            build(Stage, f"stages[{i}]", **s) for i, s in enumerate(doc["stages"])))
-
-    return DesignConfig(
-        qubit_array=qubit_array,
-        wiring=wiring,
-        pin_stack=pin_stack,
-        layout=layout,
-        coax=build(CoaxSpec, "coax", **coax),
-        cpw=build(CpwSpec, "cpw", **doc["cpw"]) if "cpw" in doc else None,
-        rf=build(RfSettings, "rf", **doc["rf"]),
-        stages=stages,
-        thermal=_thermal(doc["thermal"], stages, cat),
-        sweeps=_sweeps(doc.get("sweeps", ()), raw),
-        annotations=tuple(Annotation(**a) for a in doc.get("annotations", ())),
-        raw=raw,
-    )
+    doc = read_design_config(raw)
+    fields = {}
+    for _, builder in _BUILDERS:
+        fields.update(builder(doc, cat))
+    return DesignConfig(**fields, sweeps=_sweeps(doc.get("sweeps", ()), raw), raw=raw)
 
 
 def load_design_config(path: str | Path, catalog: MaterialCatalog | None = None) -> DesignConfig:
     return parse_design_config(units.load_json(path), catalog)
+
+
+def _with(node, keys: tuple, value):
+    """A copy of `node` with the leaf at `keys` set to `value`.  Only the
+    dicts, lists and tuples along `keys` are copied; the rest is shared."""
+    if not keys:
+        return value
+    key, child = keys[0], _with(node[keys[0]], keys[1:], value)
+    if isinstance(node, tuple):
+        return (*node[:key], child, *node[key + 1:])
+    node = node.copy()
+    node[key] = child
+    return node
 
 
 def set_parameter(raw: dict, keys: tuple[str | int, ...], value: float) -> dict:
@@ -323,11 +378,25 @@ def set_parameter(raw: dict, keys: tuple[str | int, ...], value: float) -> dict:
     and lists along `keys` are copied; every other section is shared with
     `raw`, which parsing never writes to.
     """
-    out = {k: v for k, v in raw.items() if k != "sweeps"}
-    *parents, last = keys
-    node = out
-    for key in parents:
-        node[key] = node[key].copy()
-        node = node[key]
-    node[last] = value
+    out = _with(raw, keys, value)
+    out.pop("sweeps", None)
     return out
+
+
+def sweep_point(config: DesignConfig, doc: dict, decl: SweepDecl, value: float,
+                catalog: MaterialCatalog) -> DesignConfig:
+    """`config` at `value` of its sweep `decl`, without sweeps: the config
+    that `parse_design_config(set_parameter(config.raw, decl.keys, value),
+    catalog)` gives, where `catalog` is the one `config` was parsed with.
+
+    `doc` is `read_design_config(config.raw)`.  The value is read by its
+    field's kind, as `_sweeps` reads the end-points, and put into a copy of
+    `doc` along `decl.keys`.  Only the builder of that top-level section
+    runs again; every other field is the one `config` holds.
+    """
+    kind = _SCHEMA
+    for key in decl.keys:
+        kind = kind.child(str(key))
+    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in decl.keys)[1:]
+    fields = _BUILDER_OF[decl.keys[0]](_with(doc, decl.keys, kind(value, where)), catalog)
+    return replace(config, **fields, sweeps=(), raw=set_parameter(config.raw, decl.keys, value))

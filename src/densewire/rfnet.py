@@ -183,12 +183,11 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """S-parameters of a two-port versus frequency."""
+    """S-parameters of a reciprocal two-port versus frequency: S12 is S21."""
 
     frequencies: np.ndarray
     s11: np.ndarray
     s21: np.ndarray
-    s12: np.ndarray
     s22: np.ndarray
     z_src: float = 50.0
     z_load: float = 50.0
@@ -203,7 +202,11 @@ class FrequencyResponse:
 
 
 def to_s_parameters(net: TwoPortNetwork) -> FrequencyResponse:
-    """ABCD to S conversion with (possibly unequal) real reference impedances."""
+    """ABCD to S conversion with (possibly unequal) real reference impedances.
+
+    Every element is reciprocal, so every chain has AD - BC = 1 and
+    S12 = S21 (AD - BC) = S21; computing it would only add rounding error.
+    """
     A, B, C, D = net.A, net.B, net.C, net.D
     zs, zl = net.z_src, net.z_load
     den = A * zl + B + C * zs * zl + D * zs
@@ -212,7 +215,6 @@ def to_s_parameters(net: TwoPortNetwork) -> FrequencyResponse:
         frequencies=net.frequencies,
         s11=(A * zl + B - C * zs * zl - D * zs) / den,
         s21=root / den,
-        s12=root * (A * D - B * C) / den,
         s22=(-A * zl + B - C * zs * zl + D * zs) / den,
         z_src=zs,
         z_load=zl,
@@ -274,7 +276,7 @@ def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
     with np.errstate(all="ignore"):  # a result out of the float range is reported below
         net = cascade(elements, freqs, z_src=rf.system_impedance, z_load=rf.system_impedance)
         resp = to_s_parameters(net)
-    if not all(np.isfinite(s).all() for s in (resp.s11, resp.s21, resp.s12, resp.s22)):
+    if not all(np.isfinite(s).all() for s in (resp.s11, resp.s21, resp.s22)):
         raise OutOfRange("the S-parameters are not finite over the band")
     mag = np.abs(resp.s11)
     i = int(np.argmax(mag))
@@ -287,13 +289,14 @@ def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
 
 
 # The CSV and the Touchstone rows share their first five fields: the
-# frequency and Re/Im of S11 and S21.  A row formats them once, as its head,
-# with a single `%` (faster than an f-string, and "%.12g" % x == f"{x:.12g}"
-# for every float).  The CSV row appends the two dB columns; the Touchstone
-# row appends S12 and S22, and its block turns every comma into a space.
-_HEAD = "%.10g,%.12g,%.12g,%.12g,%.12g"
-_CSV_TAIL = ",%.12g,%.12g\n"
-_S2P_TAIL = ",%.12g,%.12g,%.12g,%.12g\n"
+# frequency and Re/Im of S11 (a row's head), then Re/Im of S21.  Each group
+# of a row's cells is formatted once, with a single `%` (faster than an
+# f-string, and "%.12g" % x == f"{x:.12g}" for every float).  The CSV row
+# ends in the two dB columns.  The Touchstone row repeats its S21 text as
+# S12 and ends in S22, and its block turns every comma into a space.
+_HEAD = "%.10g,%.12g,%.12g"
+_PAIR = ",%.12g,%.12g"
+_TAIL = ",%.12g,%.12g\n"
 _BLOCK = 4096  # rows formatted per block
 
 
@@ -302,13 +305,17 @@ def _rows(columns, part: slice):
     return zip(*(c[part].tolist() for c in columns))
 
 
-def _block(shared, db, s12_s22, part: slice) -> tuple[str, str]:
-    """The CSV and the Touchstone rows within `part`.  Heads and tails are
-    joined interleaved, so no row string is built; and being a function's
-    locals, the block's lists are freed before the block is handed on."""
-    heads = [_HEAD % row for row in _rows(shared, part)]
-    csv = "".join(chain.from_iterable(zip(heads, [_CSV_TAIL % r for r in _rows(db, part)])))
-    s2p = "".join(chain.from_iterable(zip(heads, [_S2P_TAIL % r for r in _rows(s12_s22, part)])))
+def _block(columns, part: slice) -> tuple[str, str]:
+    """The CSV and the Touchstone rows within `part`, from the column groups
+    of the head, S21, the dB columns and S22.  A row's pieces are joined
+    interleaved, so no row string is built; each file's last piece is
+    formatted only for its join; and being a function's locals, the
+    block's lists are freed before the block is handed on."""
+    head, s21, db, s22 = columns
+    head = [_HEAD % r for r in _rows(head, part)]
+    s21 = [_PAIR % r for r in _rows(s21, part)]
+    csv = "".join(chain.from_iterable(zip(head, s21, [_TAIL % r for r in _rows(db, part)])))
+    s2p = "".join(chain.from_iterable(zip(head, s21, s21, [_TAIL % r for r in _rows(s22, part)])))
     return csv, s2p.replace(",", " ")
 
 
@@ -319,10 +326,10 @@ def response_texts(resp: FrequencyResponse):
 
     The CSV columns are frequency, Re/Im of S11 and S21, and their dB
     magnitudes.  The Touchstone text is a two-port file in real/imaginary
-    format, rows S11 S21 S12 S22.  Equal port references give a v1 file.
-    Touchstone v1 carries a single reference resistance, so unequal ones
-    give a v2.0 file whose [Reference] line names both (IBIS Open Forum,
-    Touchstone File Format Specification v2.0).
+    format, rows S11 S21 S12 S22, where S12 is S21.  Equal port references
+    give a v1 file.  Touchstone v1 carries a single reference resistance,
+    so unequal ones give a v2.0 file whose [Reference] line names both
+    (IBIS Open Forum, Touchstone File Format Specification v2.0).
     """
     v2 = resp.z_load != resp.z_src
     head = f"# Hz S RI R {resp.z_src:.12g}\n"
@@ -331,11 +338,10 @@ def response_texts(resp: FrequencyResponse):
                 f"[Number of Frequencies] {len(resp.frequencies)}\n"
                 f"[Reference] {resp.z_src:.12g} {resp.z_load:.12g}\n[Network Data]\n")
     yield "frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n", head
-    shared = (resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real, resp.s21.imag)
-    db = (resp.s11_db(), resp.s21_db())
-    s12_s22 = (resp.s12.real, resp.s12.imag, resp.s22.real, resp.s22.imag)
+    columns = ((resp.frequencies, resp.s11.real, resp.s11.imag), (resp.s21.real, resp.s21.imag),
+               (resp.s11_db(), resp.s21_db()), (resp.s22.real, resp.s22.imag))
     for i in range(0, len(resp.frequencies), _BLOCK):
-        yield _block(shared, db, s12_s22, slice(i, i + _BLOCK))
+        yield _block(columns, slice(i, i + _BLOCK))
     if v2:
         yield "", "[End]\n"
 

@@ -164,7 +164,7 @@ def touchstone(resp) -> str:
                  f"[Reference] {resp.z_src:.12g} {resp.z_load:.12g}", "[Network Data]"]
     lines += _rf_rows("%.10g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g",
                       (resp.frequencies, resp.s11.real, resp.s11.imag, resp.s21.real,
-                       resp.s21.imag, resp.s12.real, resp.s12.imag, resp.s22.real, resp.s22.imag))
+                       resp.s21.imag, resp.s21.real, resp.s21.imag, resp.s22.real, resp.s22.imag))
     if v2:
         lines.append("[End]")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from densewire import config as config_module
 from densewire.cli import main
-from densewire.config import RfSettings, load_design_config, parse_design_config, set_parameter
+from densewire.config import (
+    RfSettings,
+    load_design_config,
+    parse_design_config,
+    read_design_config,
+    set_parameter,
+    sweep_point,
+)
 from densewire.errors import ConfigInvalid
 
 
@@ -223,10 +230,70 @@ def test_parsing_never_writes_to_raw(raw, catalog, variant):
     before = copy.deepcopy(raw)
     cfg = parse_design_config(raw, catalog)
     assert raw == before
+    doc = read_design_config(raw)
     for decl in cfg.sweeps:
         for v in decl.points:
-            parse_design_config(set_parameter(raw, decl.keys, v), catalog)
+            sweep_point(cfg, doc, decl, v, catalog)
     assert raw == before
+
+
+def _explicit_coax(raw: dict) -> dict:
+    raw["coax"] = {"inner_diameter": "100um", "outer_diameter": "200um"}
+    return raw
+
+
+def _with_stages(raw: dict) -> dict:
+    raw["stages"] = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
+                     {"name": "3K", "temperature": "3K", "cooling_power": "1W"},
+                     {"name": "10mK", "temperature": "10mK", "cooling_power": "20uW"}]
+    return raw
+
+
+# A sweep of a field of every builder: (parameter, start, stop, steps, config edit).
+_BUILDER_SWEEPS = [
+    ("qubit_array.chip_side", "10mm", "30mm", 5, None),
+    ("wiring.0.bond_geometry.wire_diameter", "10um", "30um", 5, None),
+    ("wiring.1.wire_pitch", "300um", "500um", 5, None),
+    ("layout.hole_diameter", "200um", "300um", 5, None),  # the auto core and the derived coax
+    ("layout.array_side_count", 2, 10, 5, None),
+    ("interposer.pin_hole_clearance", "50um", "150um", 5, None),
+    ("pin_stack.coatings.1.1", "5um", "15um", 5, None),
+    ("coax.outer_diameter", "150um", "300um", 4, _explicit_coax),
+    ("layout.hole_diameter", "150um", "300um", 4, _explicit_coax),
+    ("cpw.gap", "3um", "12um", 4, None),
+    ("rf.bond_inductance", "0pH", "100pH", 5, None),
+    ("stages.0.cooling_power", "100W", "2kW", 5, _with_stages),
+    ("thermal.paths.0.count", 100000, 200000, 5, None),
+    ("thermal.controllers.0.count", 1000, 5000, 5, None),
+    ("annotations.0.position", "10mm", "90mm", 5, None),
+]
+
+
+@pytest.mark.parametrize("parameter, start, stop, steps, edit", _BUILDER_SWEEPS,
+                         ids=[f"{s[0]}{'-' + s[4].__name__[1:] if s[4] else ''}"
+                              for s in _BUILDER_SWEEPS])
+def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, start, stop,
+                                                      steps, edit):
+    """A point rebuilds only its section's builder from the run's read
+    config, and gives the config a whole parse of the point's raw config
+    gives; reading the config once per run needs the builders to leave the
+    read document as they found it."""
+    raw = edit(raw) if edit else raw
+    raw["sweeps"] = [{"parameter": parameter, "start": start, "stop": stop, "steps": steps}]
+    cfg = parse_design_config(raw, catalog)
+    doc = read_design_config(raw)
+    before = copy.deepcopy(doc)
+    (decl,) = cfg.sweeps
+    for v in decl.points:
+        want = parse_design_config(set_parameter(raw, decl.keys, v), catalog)
+        assert sweep_point(cfg, doc, decl, v, catalog) == want, v
+    assert doc == before
+
+
+def test_every_section_has_one_builder(raw):
+    names = [name for names, _ in config_module._BUILDERS for name in names]
+    read = read_design_config(_with_stages(_explicit_coax(raw)))
+    assert sorted(names) == sorted(read.keys() - {"sweeps"})
 
 
 def _mutated(raw: dict, path: tuple, value) -> dict:
@@ -436,6 +503,25 @@ def test_failing_sweep_point_names_its_sweep_and_writes_nothing(raw, tmp_path):
     code, err = _run_cli(raw, "sweep", tmp_path)
     assert code == 1
     assert err.startswith("error: sweeps[1]: at qubit_array.chip_side = 1e+297: qubit_array: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("core, stop, message", [
+    ("auto", "100um", "at layout.hole_diameter = 0.00012: pin_stack.core_diameter: auto-derived "
+     "core is not positive; check hole diameter and clearance"),
+    ("200um", "200um", "at layout.hole_diameter = 0.00022: pin_stack: the finished pin "
+     "(0.000222 m) must be narrower than layout.hole_diameter (0.00022 m)"),
+], ids=["auto-core-not-positive", "pin-as-wide-as-the-hole"])
+def test_point_rejected_across_sections_names_its_sweep_and_writes_nothing(raw, tmp_path, core,
+                                                                           stop, message):
+    # sweeps[0] alone runs clean; the hole of sweeps[1] closes on the pin.
+    raw["pin_stack"]["core_diameter"] = core
+    raw["sweeps"] = [{"parameter": "qubit_array.chip_side", "start": "10mm", "stop": "30mm",
+                      "steps": 3},
+                     {"parameter": "layout.hole_diameter", "start": "300um", "stop": stop,
+                      "steps": 11}]
+    code, err = _run_cli(raw, "sweep", tmp_path)
+    assert (code, err) == (1, f"error: sweeps[1]: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
