@@ -22,8 +22,7 @@ from pathlib import Path
 
 from . import __version__
 # `load_design_config` stays here for perfbench's tracer.
-from .config import DesignConfig, load_design_config, parse_design_config  # noqa: F401
-from .config import read_design_config, sweep_point
+from .config import DesignConfig, load_design_config, parse_design_config, set_parameter  # noqa: F401
 from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
 from .layout import check_export_size, export_layout, generate_layout, run_drc
@@ -330,14 +329,16 @@ def _sweep_records(config: DesignConfig) -> dict:
     return records
 
 
-def sweep_csv(run: _Run, decl, where: str, doc: dict) -> str:
+def sweep_csv(run: _Run, decl, where: str) -> str:
     """One CSV per sweep declaration: a row of standard outputs per point.
-    `doc` is the run's read config, which each point rebuilds from.  A point
-    the config reader rejects is a config error at `where`."""
+    Each point is parsed against the run's config, so it reads and builds
+    only its field's sections.  A point the config reader rejects is a
+    config error at `where`."""
     lines = [",".join(("parameter", "value", *(c for c, _, _ in _SWEEP_COLUMNS)))]
     for v in decl.points:
         try:
-            cfg = sweep_point(run.config, doc, decl, v, run.catalog)
+            cfg = parse_design_config(set_parameter(run.config.raw, decl.keys, v), run.catalog,
+                                      base=run.config)
         except ConfigInvalid as exc:
             raise ConfigInvalid(where, f"at {decl.parameter} = {v:g}: {exc}") from None
         records = _sweep_records(cfg)
@@ -349,10 +350,9 @@ def sweep_csv(run: _Run, decl, where: str, doc: dict) -> str:
 def _cmd_sweep(run: _Run, args) -> int:
     if not run.config.sweeps:
         raise ConfigInvalid("sweeps", "no sweep declarations in the config")
-    doc = read_design_config(run.config.raw)  # once per run, for every point
     names = [f"sweep_{decl.parameter.replace('.', '_')}.csv" for decl in run.config.sweeps]
     for i, (decl, name) in enumerate(zip(run.config.sweeps, names)):
-        run.write([name], [(sweep_csv(run, decl, f"sweeps[{i}]", doc),)])
+        run.write([name], [(sweep_csv(run, decl, f"sweeps[{i}]"),)])
     for decl, name in zip(run.config.sweeps, names):  # only once every CSV is staged
         print(f"{decl.parameter}: {len(decl.points)} points -> {run.out_dir / name}")
     return 0

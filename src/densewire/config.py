@@ -1,11 +1,13 @@
 """Design-config parsing: one JSON document describing the whole design.
 
-Parsing takes two steps.  `read_design_config` reads every field through
-one declarative schema (`_SCHEMA`) of field kinds from `units`.  Then the
-builders of `_BUILDERS`, each keyed by the top-level sections it reads,
-resolve the read document into a DesignConfig; a sweep point runs only the
-builder of the section its field is in.  Dimensional fields carry explicit
-unit suffixes ("500um", "10GHz"); bare numbers are read as base SI units.
+Parsing takes two steps.  Every field is read through one declarative
+schema (`_SCHEMA`) of field kinds from `units`.  Then the builders of
+`_BUILDERS`, each keyed by the top-level sections it depends on, resolve
+the read document into a DesignConfig.  Parsed against a `base` config
+whose raw document it shares sections with, as a sweep point is, a config
+reads and builds only what those shared sections do not settle.
+Dimensional fields carry explicit unit suffixes ("500um", "10GHz"); bare
+numbers are read as base SI units.
 Keys named "notes" or starting with an underscore are ignored everywhere,
 so configs can be annotated.  Every type, unit, range or reference error
 raises ConfigInvalid naming the dotted field path.
@@ -19,7 +21,7 @@ Derivations tie the sections together the way the hardware does:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import units
@@ -151,16 +153,15 @@ _SCHEMA = section(
 
 
 # Resolving: each builder turns the read sections it is keyed by in
-# `_BUILDERS` into DesignConfig fields.  No builder writes to the read
-# document, so a sweep point shares every section off its path with the
-# run's read document.
+# `_BUILDERS`, and the fields `built` by the builders before it, into
+# DesignConfig fields.
 
 
-def _qubit_array(doc: dict, cat: MaterialCatalog) -> dict:
+def _qubit_array(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     return {"qubit_array": build(QubitArraySpec, "qubit_array", **doc["qubit_array"])}
 
 
-def _wiring(doc: dict, cat: MaterialCatalog) -> dict:
+def _wiring(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     if not doc["wiring"]:
         raise ConfigInvalid("wiring", "expected a nonempty list of wiring architectures")
     out = []
@@ -176,7 +177,7 @@ def _wiring(doc: dict, cat: MaterialCatalog) -> dict:
     return {"wiring": tuple(out)}
 
 
-def _interposer(doc: dict, cat: MaterialCatalog) -> dict:
+def _interposer(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     """The layout, the pin stack and the interposer coax: an "auto" pin core
     fills the hole, and without a coax section the coax is the pin in its hole."""
     layout = build(LayoutConfig, "layout", **doc["layout"])
@@ -216,11 +217,11 @@ def _interposer(doc: dict, cat: MaterialCatalog) -> dict:
     return {"layout": layout, "pin_stack": pin_stack, "coax": build(CoaxSpec, "coax", **coax)}
 
 
-def _cpw(doc: dict, cat: MaterialCatalog) -> dict:
+def _cpw(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     return {"cpw": build(CpwSpec, "cpw", **doc["cpw"]) if "cpw" in doc else None}
 
 
-def _rf(doc: dict, cat: MaterialCatalog) -> dict:
+def _rf(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     return {"rf": build(RfSettings, "rf", **doc["rf"])}
 
 
@@ -231,12 +232,16 @@ def _stage(entry: dict, stages: StageModel, where: str) -> str:
     return name
 
 
-def _thermal(doc: dict, cat: MaterialCatalog) -> dict:
-    """The stages, and the controllers and conduction paths that name them."""
-    stages = default_stage_model()
-    if "stages" in doc:
-        stages = build(StageModel, "stages", stages=tuple(
-            build(Stage, f"stages[{i}]", **s) for i, s in enumerate(doc["stages"])))
+def _stages(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
+    if "stages" not in doc:
+        return {"stages": default_stage_model()}
+    return {"stages": build(StageModel, "stages", stages=tuple(
+        build(Stage, f"stages[{i}]", **s) for i, s in enumerate(doc["stages"])))}
+
+
+def _thermal(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
+    """The controllers and conduction paths, each on a stage of `built`."""
+    stages = built["stages"]
     controllers = []
     for i, c in enumerate(doc["thermal"].get("controllers", ())):
         where = f"thermal.controllers[{i}]"
@@ -252,26 +257,27 @@ def _thermal(doc: dict, cat: MaterialCatalog) -> dict:
             raise ConfigInvalid(f"{where}.material", f"material {p['material']!r} not in catalog")
         paths.append((stage, build(ConductionPath, where,
                                    **{k: v for k, v in p.items() if k != "stage"})))
-    return {"stages": stages,
-            "thermal": ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))}
+    return {"thermal": ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))}
 
 
-def _annotations(doc: dict, cat: MaterialCatalog) -> dict:
+def _annotations(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     return {"annotations": tuple(Annotation(**a) for a in doc.get("annotations", ()))}
 
 
-# Every builder, keyed by the top-level sections it reads, in the order a
-# parse runs them.  A sweep point runs only the one its field's section names.
+# Every builder, keyed by the top-level sections it reads or whose fields
+# it takes from `built`, in the order a parse runs them: the order in
+# which their errors are found.
 _BUILDERS = (
     (("qubit_array",), _qubit_array),
     (("wiring",), _wiring),
     (("layout", "pin_stack", "interposer", "coax"), _interposer),
+    (("stages",), _stages),
     (("cpw",), _cpw),
     (("rf",), _rf),
     (("stages", "thermal"), _thermal),
     (("annotations",), _annotations),
 )
-_BUILDER_OF = {name: builder for names, builder in _BUILDERS for name in names}
+_ABSENT = object()
 
 
 def _linspace(start: float, stop: float, n: int) -> list[float]:
@@ -335,38 +341,36 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
     return tuple(out)
 
 
-def read_design_config(raw: dict) -> dict:
-    """The first step of parsing: `raw` read through `_SCHEMA`, every
-    quantity in SI units.  The second step, the builders, never writes to it."""
-    return _SCHEMA(raw, "")
+def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None,
+                        base: DesignConfig | None = None) -> DesignConfig:
+    """Validate and resolve a raw config dict into a DesignConfig: read it
+    through `_SCHEMA`, then run the builders of `_BUILDERS` in order.
 
-
-def parse_design_config(raw: dict, catalog: MaterialCatalog | None = None) -> DesignConfig:
-    """Validate and resolve a raw config dict into a DesignConfig: read it,
-    then run every builder on the read document."""
+    `base` is a config parsed with the same catalog whose raw document may
+    share top-level sections with `raw`: the very same objects, unchanged
+    since, as `set_parameter` shares every section off the swept field's
+    path.  Parsing never writes to a raw document, so a builder whose
+    sections are all shared would build what `base` holds.  Only the other
+    builders run, and only their sections and `sweeps` are read: the result
+    is the config that a parse without `base` gives.
+    """
     cat = catalog if catalog is not None else default_catalog()
-    doc = read_design_config(raw)
-    fields = {}
-    for _, builder in _BUILDERS:
-        fields.update(builder(doc, cat))
-    return DesignConfig(**fields, sweeps=_sweeps(doc.get("sweeps", ()), raw), raw=raw)
+    built, builders, names = {}, _BUILDERS, None
+    if base is not None:
+        changed = {key for key in raw.keys() | base.raw.keys()
+                   if raw.get(key, _ABSENT) is not base.raw.get(key, _ABSENT)}
+        builders = [(keys, builder) for keys, builder in _BUILDERS if changed.intersection(keys)]
+        names = {"sweeps"}.union(*(keys for keys, _ in builders))
+        built = vars(base).copy()
+    doc = _SCHEMA(raw, "", names)
+    for _, builder in builders:
+        built.update(builder(doc, cat, built))
+    built.update(sweeps=_sweeps(doc.get("sweeps", ()), raw), raw=raw)
+    return DesignConfig(**built)
 
 
 def load_design_config(path: str | Path, catalog: MaterialCatalog | None = None) -> DesignConfig:
     return parse_design_config(units.load_json(path), catalog)
-
-
-def _with(node, keys: tuple, value):
-    """A copy of `node` with the leaf at `keys` set to `value`.  Only the
-    dicts, lists and tuples along `keys` are copied; the rest is shared."""
-    if not keys:
-        return value
-    key, child = keys[0], _with(node[keys[0]], keys[1:], value)
-    if isinstance(node, tuple):
-        return (*node[:key], child, *node[key + 1:])
-    node = node.copy()
-    node[key] = child
-    return node
 
 
 def set_parameter(raw: dict, keys: tuple[str | int, ...], value: float) -> dict:
@@ -378,25 +382,11 @@ def set_parameter(raw: dict, keys: tuple[str | int, ...], value: float) -> dict:
     and lists along `keys` are copied; every other section is shared with
     `raw`, which parsing never writes to.
     """
-    out = _with(raw, keys, value)
-    out.pop("sweeps", None)
+    out = {k: v for k, v in raw.items() if k != "sweeps"}
+    *parents, last = keys
+    node = out
+    for key in parents:
+        node[key] = node[key].copy()
+        node = node[key]
+    node[last] = value
     return out
-
-
-def sweep_point(config: DesignConfig, doc: dict, decl: SweepDecl, value: float,
-                catalog: MaterialCatalog) -> DesignConfig:
-    """`config` at `value` of its sweep `decl`, without sweeps: the config
-    that `parse_design_config(set_parameter(config.raw, decl.keys, value),
-    catalog)` gives, where `catalog` is the one `config` was parsed with.
-
-    `doc` is `read_design_config(config.raw)`.  The value is read by its
-    field's kind, as `_sweeps` reads the end-points, and put into a copy of
-    `doc` along `decl.keys`.  Only the builder of that top-level section
-    runs again; every other field is the one `config` holds.
-    """
-    kind = _SCHEMA
-    for key in decl.keys:
-        kind = kind.child(str(key))
-    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in decl.keys)[1:]
-    fields = _BUILDER_OF[decl.keys[0]](_with(doc, decl.keys, kind(value, where)), catalog)
-    return replace(config, **fields, sweeps=(), raw=set_parameter(config.raw, decl.keys, value))

@@ -219,12 +219,13 @@ def section(**fields):
 
     Each field is a kind (required) or ``optional(kind, default)``.  Keys
     named "notes" or starting with "_" are annotations and ignored; any
-    other unknown key is rejected.
+    other unknown key is rejected.  With `names`, the reader reads only
+    those fields (it still rejects unknown keys).
     """
     spec = {name: f if isinstance(f, tuple) else (f, _REQUIRED) for name, f in fields.items()}
     expected = sorted(spec)
 
-    def read(value, where: str) -> dict:
+    def read(value, where: str, names=None) -> dict:
         if not isinstance(value, dict):
             raise ConfigInvalid(where or "<root>",
                                 f"expected an object, got {type(value).__name__}")
@@ -234,6 +235,8 @@ def section(**fields):
                 raise ConfigInvalid(prefix + key, f"unknown field; expected one of {expected}")
         out = {}
         for name, (kind, default) in spec.items():
+            if names is not None and name not in names:
+                continue
             if name in value:
                 out[name] = kind(value[name], prefix + name)
             elif default is _REQUIRED:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import random
@@ -16,14 +17,7 @@ from hypothesis import strategies as st
 
 from densewire import config as config_module
 from densewire.cli import main
-from densewire.config import (
-    RfSettings,
-    load_design_config,
-    parse_design_config,
-    read_design_config,
-    set_parameter,
-    sweep_point,
-)
+from densewire.config import RfSettings, load_design_config, parse_design_config, set_parameter
 from densewire.errors import ConfigInvalid
 
 
@@ -230,10 +224,9 @@ def test_parsing_never_writes_to_raw(raw, catalog, variant):
     before = copy.deepcopy(raw)
     cfg = parse_design_config(raw, catalog)
     assert raw == before
-    doc = read_design_config(raw)
     for decl in cfg.sweeps:
         for v in decl.points:
-            sweep_point(cfg, doc, decl, v, catalog)
+            parse_design_config(set_parameter(raw, decl.keys, v), catalog, cfg)
     assert raw == before
 
 
@@ -274,26 +267,96 @@ _BUILDER_SWEEPS = [
                               for s in _BUILDER_SWEEPS])
 def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, start, stop,
                                                       steps, edit):
-    """A point rebuilds only its section's builder from the run's read
-    config, and gives the config a whole parse of the point's raw config
-    gives; reading the config once per run needs the builders to leave the
-    read document as they found it."""
+    """A point parsed against the run's config equals a whole parse of the
+    point's raw config, and holds the run's own objects in every field
+    that its section's builders do not build."""
     raw = edit(raw) if edit else raw
     raw["sweeps"] = [{"parameter": parameter, "start": start, "stop": stop, "steps": steps}]
     cfg = parse_design_config(raw, catalog)
-    doc = read_design_config(raw)
-    before = copy.deepcopy(doc)
     (decl,) = cfg.sweeps
+    rebuilt = _BUILT_BY[decl.keys[0]] | {"sweeps", "raw"}
     for v in decl.points:
-        want = parse_design_config(set_parameter(raw, decl.keys, v), catalog)
-        assert sweep_point(cfg, doc, decl, v, catalog) == want, v
-    assert doc == before
+        point = set_parameter(raw, decl.keys, v)
+        got = parse_design_config(point, catalog, cfg)
+        assert got == parse_design_config(point, catalog), v
+        assert {f.name for f in dataclasses.fields(got)
+                if getattr(got, f.name) is not getattr(cfg, f.name)} <= rebuilt, v
 
 
-def test_every_section_has_one_builder(raw):
-    names = [name for names, _ in config_module._BUILDERS for name in names]
-    read = read_design_config(_with_stages(_explicit_coax(raw)))
-    assert sorted(names) == sorted(read.keys() - {"sweeps"})
+# The DesignConfig fields that the builders keyed by each section build.
+_BUILT_BY = {"qubit_array": {"qubit_array"}, "wiring": {"wiring"},
+             **dict.fromkeys(("layout", "pin_stack", "interposer", "coax"),
+                             {"layout", "pin_stack", "coax"}),
+             "stages": {"stages", "thermal"}, "thermal": {"thermal"}, "cpw": {"cpw"},
+             "rf": {"rf"}, "annotations": {"annotations"}}
+
+
+def test_every_section_has_a_builder(raw):
+    names = {name for names, _ in config_module._BUILDERS for name in names}
+    read = config_module._SCHEMA(_with_stages(_explicit_coax(raw)), "")
+    assert names == read.keys() - {"sweeps"} == _BUILT_BY.keys()
+
+
+def _renamed_stages(raw: dict) -> None:
+    raw["stages"] = [dict(s, name=s["name"] + "-renamed") for s in _with_stages({})["stages"]]
+
+
+def _new_chip_side(raw: dict) -> None:
+    raw["qubit_array"] = raw["qubit_array"] | {"chip_side": "25mm"}
+
+
+def _add_coax(raw: dict) -> None:
+    _explicit_coax(raw)
+
+
+def _drop_cpw(raw: dict) -> None:
+    del raw["cpw"]
+
+
+@pytest.mark.parametrize("edit", [_renamed_stages, _new_chip_side, _add_coax, _drop_cpw],
+                         ids=lambda edit: edit.__name__[1:])
+def test_parse_against_a_base_equals_a_whole_parse(raw, catalog, edit):
+    """Beyond sweep points: sections replaced, added or dropped, with the
+    sweeps shared, give what a whole parse gives, errors included."""
+    base = parse_design_config(raw, catalog)
+    new = dict(raw)  # a new top level; the sections are shared until `edit` replaces one
+    edit(new)
+
+    def outcome(**kw):
+        try:
+            return parse_design_config(new, catalog, **kw)
+        except ConfigInvalid as exc:
+            return str(exc)
+
+    assert outcome(base=base) == outcome()
+
+
+_BAD_STAGES = [{"name": "3K", "temperature": "3K", "cooling_power": "1W"},
+               {"name": "4K", "temperature": "4K", "cooling_power": "1W"}]
+_BAD_CPW = {"trace_width": "10um", "gap": "6um", "substrate_eps_r": 0.5}
+_BAD_RF = {"band": ["5GHz", "1GHz"]}
+_BAD_COAX = {"inner_diameter": "300um", "outer_diameter": "200um"}
+
+
+@pytest.mark.parametrize("invalid, section, value, first", [
+    ("stages", "cpw", _BAD_CPW, "stages"),
+    ("stages", "rf", _BAD_RF, "stages"),
+    ("stages", "coax", _BAD_COAX, "coax"),
+    ("thermal", "cpw", _BAD_CPW, "cpw"),
+    ("thermal", "rf", _BAD_RF, "rf"),
+], ids=["stages-cpw", "stages-rf", "stages-explicit-coax", "thermal-cpw", "thermal-rf"])
+def test_builder_order_sets_the_first_error(raw, catalog, invalid, section, value, first):
+    # Stages are built before cpw and rf, and the thermal section after
+    # them, as a whole parse always has; an explicit coax section is built
+    # with the layout, before the stages.
+    if invalid == "stages":
+        raw["stages"] = _BAD_STAGES
+    else:
+        raw["thermal"]["controllers"][0]["tech"] = "bogus"
+    raw[section] = value
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_design_config(raw, catalog)
+    assert exc.value.field == first
 
 
 def _mutated(raw: dict, path: tuple, value) -> dict:
