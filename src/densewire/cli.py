@@ -25,7 +25,14 @@ from . import __version__
 from .config import DesignConfig, load_design_config, parse_design_config, set_parameter  # noqa: F401
 from .errors import ConfigInvalid, DensewireError, OutOfRange
 from .golden import golden_rows
-from .layout import check_export_size, export_layout, generate_layout, run_drc
+from .layout import (
+    BOND_PRESSURE_RANGE,
+    bonding_force,
+    check_export_size,
+    export_layout,
+    generate_layout,
+    run_drc,
+)
 from .materials import MaterialCatalog, default_catalog, load_catalog
 from .scaling import (
     LATERAL,
@@ -243,7 +250,7 @@ def _cmd_rf(run: _Run, args) -> int:
     interposer_z = coax_impedance(config.coax)
     feed_eps = (cpw_effective_permittivity(config.cpw) if config.cpw is not None
                 else config.coax.eps_r)
-    with _fits_in_memory("rf.points", f"{rf.points} frequency points"):
+    with _fits_in_memory("rf.points", f"{rf.points:g} frequency points"):
         report = mismatch_report(rf, config.layout.pin_length, interposer_z,
                                  pin_eps_eff=config.coax.eps_r, feed_eps_eff=feed_eps)
         print(f"path: {len(report.elements)} elements, pin Z={interposer_z:.4g} ohm in a "
@@ -267,12 +274,19 @@ def _cmd_layout(run: _Run, args) -> int:
         print(f"DRC {f.severity.upper():<7} {f.rule}: {f.message}")
     if drc.passed:
         print("DRC clean")
+    per_pad = bonding_force(config.layout)
+    array = tuple(n * f for f in per_pad)
+    print(f"bonding: {per_pad[0]:.3g}-{per_pad[1]:.3g} N per pad, {array[0]:.3g}-{array[1]:.3g} N "
+          f"for {n} pads at {BOND_PRESSURE_RANGE[0]:g}-{BOND_PRESSURE_RANGE[1]:g} N/mm2")
     side = config.layout.array_side_count
     with _fits_in_memory("layout.array_side_count", f"the sites of a {side}x{side} grid"):
         for fmt in ("json", "svg"):
             if args.format in (fmt, "both"):
                 run.write([f"layout.{fmt}"], [(export_layout(layout, fmt, config.layout),)])
-    run.report("drc.json", {"findings": drc.to_records(), "passed": drc.passed})
+    bonding = {"pressure_n_per_mm2": BOND_PRESSURE_RANGE, "force_per_pad_n": per_pad,
+               "force_array_n": array}
+    run.report("drc.json", {"findings": drc.to_records(), "passed": drc.passed,
+                            "bonding": bonding})
     return 0
 
 

@@ -21,6 +21,7 @@ Derivations tie the sections together the way the hardware does:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,8 +172,12 @@ def _wiring(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
             raise ConfigInvalid(where, "needs exactly one of wire_pitch or bond_geometry")
         if "bond_geometry" in d:
             geom = build(BondWireGeometry, f"{where}.bond_geometry", **d["bond_geometry"])
+            pitch = wire_pitch_from_bonds(geom)
+            if not math.isfinite(pitch):
+                raise ConfigInvalid(f"{where}.bond_geometry",
+                                    "the derived wire pitch leaves the float range")
             d = {k: v for k, v in d.items() if k != "bond_geometry"}
-            d.update(wire_pitch=wire_pitch_from_bonds(geom), provenance="derived_from_bond_geometry")
+            d.update(wire_pitch=pitch, provenance="derived_from_bond_geometry")
         out.append(build(WiringArchitecture, where, **d))
     return {"wiring": tuple(out)}
 
@@ -287,7 +292,8 @@ def _linspace(start: float, stop: float, n: int) -> list[float]:
     rounds to zero, with the last point `stop` itself.
 
     The list is allocated whole before it is filled, so a count beyond
-    memory raises MemoryError at once instead of growing until it does.
+    memory raises MemoryError at once instead of growing until it does, and
+    one beyond any index (2**63 or more) raises OverflowError.
     """
     start, stop = float(start), float(stop)
     delta = stop - start
@@ -331,8 +337,8 @@ def _sweeps(entries: tuple[dict, ...], raw: dict) -> tuple[SweepDecl, ...]:
                                 f"1 step needs start == stop, got {start:g} and {stop:g}")
         try:
             points = tuple(_linspace(start, stop, steps))
-        except MemoryError:
-            raise ConfigInvalid(f"{where}.steps", f"{steps} points do not fit in memory") from None
+        except (MemoryError, OverflowError):
+            raise ConfigInvalid(f"{where}.steps", f"{steps:g} points do not fit in memory") from None
         if type(start) is int and any(  # an integer field takes integral points only
                 not v.is_integer() for v in points):
             raise ConfigInvalid(f"{where}.steps", f"{steps} steps from {start} to {stop} give "

@@ -14,14 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .layout import (
-    CONICAL,
-    SPHERICAL,
-    LayoutConfig,
-    generate_layout,
-    process_checklist,
-    run_drc,
-)
+from .layout import LayoutConfig, generate_layout, run_drc
 from .materials import MaterialCatalog, is_superconducting
 from .scaling import (
     LATERAL,
@@ -249,15 +242,7 @@ def golden_rows(catalog: MaterialCatalog) -> list[GoldenRow]:
         "drc-nominal-clean", "nominal dimensions pass all design rules",
         nominal_report.passed))
 
-    # Bonding process plan anchors.
-    conical = process_checklist(NOMINAL_LAYOUT, CONICAL, catalog)
-    rows.append(_bool_row(
-        "process-conical-uncoated-pin", "conical plan notes the uncoated pin",
-        any("no In coating on pin" in s.detail for s in conical)))
-    spherical = process_checklist(NOMINAL_LAYOUT, SPHERICAL, catalog)
-    rows.append(_bool_row(
-        "process-spherical-pressure", "spherical plan cites the 10-20 N/mm2 pressure",
-        any(s.data.get("pressure_n_per_mm2") == (10.0, 20.0) for s in spherical)))
+    # Solder reflow thresholds of the bonding process, read from the catalog.
     rows.append(_rel_row(
         "process-snpb-reflow", "Sn-Pb reflow threshold from the catalog [degC]",
         catalog.lookup("Sn-Pb").melting_or_reflow_temp, 183.0, 1e-12))

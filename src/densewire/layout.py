@@ -1,5 +1,5 @@
 """Interposer layout: pad/pin/hole/channel/ribbon geometry over a square
-qubit array, design-rule checks, exports, and the bonding process plan.
+qubit array, design-rule checks, exports, and the bonding force.
 
 Coordinates are in meters with the origin at the array center; exports
 render in micrometers (SVG user unit = 1 um).  A layout is its grid: it
@@ -15,12 +15,10 @@ import dataclasses
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import ConfigInvalid, UnsupportedFormat
-from .materials import MaterialCatalog, default_catalog
 from .tlines import PinStack, pin_outer_diameter
 from .units import bounded, integer, listof, number, parse_length, raw, section, string
 
@@ -34,8 +32,6 @@ PAD_THICKNESS_RANGE = (5e-6, 30e-6)
 TIP_TOLERANCE_MAX = 2.5e-6
 MIN_CHANNEL_ASPECT = 0.14          # width/depth demonstrated machinable
 BOND_PRESSURE_RANGE = (10.0, 20.0)  # N/mm^2, chip-compression bonding
-
-GRAVITY = 9.80665  # m/s^2, for gram-force conversion
 
 LAYOUT_FORMAT = 2  # the `format` key of layout.json
 
@@ -232,22 +228,13 @@ def run_drc(layout: InterposerLayout, cfg: LayoutConfig, pin: PinStack) -> DrcRe
                            for rule, severity, violated, message in rules if violated))
 
 
-class BondForce(NamedTuple):
-    newtons: float
-    gram_force: float
-
-
-def bonding_force(pressure_n_per_mm2: float, contact_diameter: float) -> BondForce:
-    """Force on one pin/pad contact at the given bonding pressure.
-
-    pressure is in N/mm^2, diameter in meters; returns newtons and the
-    equivalent gram-force.
-    """
-    if pressure_n_per_mm2 < 0 or contact_diameter <= 0:
-        raise ValueError("pressure must be >= 0 and diameter > 0")
-    area_mm2 = math.pi * (contact_diameter * 1e3 / 2.0) ** 2
-    newtons = pressure_n_per_mm2 * area_mm2
-    return BondForce(newtons, newtons / GRAVITY * 1e3)
+def bonding_force(cfg: LayoutConfig) -> tuple[float, float]:
+    """Force on one pad, newtons, at each end of BOND_PRESSURE_RANGE: the
+    bonding pressure over the pad's area."""
+    radius_mm = cfg.pad_diameter * 1e3 / 2.0
+    area_mm2 = math.pi * radius_mm * radius_mm  # inf, not OverflowError, for a huge pad
+    lo, hi = BOND_PRESSURE_RANGE
+    return lo * area_mm2, hi * area_mm2
 
 
 def _columns(sites: SiteGrid) -> dict[str, list[float]]:
@@ -405,108 +392,3 @@ def export_layout(layout: InterposerLayout, fmt: str, cfg: LayoutConfig) -> str:
     if fmt == "svg":
         return layout_to_svg(layout, cfg)
     raise UnsupportedFormat(fmt)
-
-
-CONICAL = "conical"
-SPHERICAL = "spherical"
-
-
-@dataclass(frozen=True)
-class ProcessStep:
-    number: int
-    title: str
-    detail: str
-    data: dict = field(default_factory=dict)
-
-
-def process_checklist(cfg: LayoutConfig, mode: str,
-                      catalog: MaterialCatalog | None = None) -> tuple[ProcessStep, ...]:
-    """Assembly and bonding steps as structured documentation data.
-
-    Reflow thresholds come from the material catalog; mode selects the
-    pin-tip style (conical piercing vs spherical compression).
-    """
-    if mode not in (CONICAL, SPHERICAL):
-        raise ValueError(f"mode must be {CONICAL!r} or {SPHERICAL!r}")
-    cat = catalog if catalog is not None else default_catalog()
-    snpb_reflow = cat.lookup("Sn-Pb").melting_or_reflow_temp
-    in_reflow = cat.lookup("In").melting_or_reflow_temp
-    if snpb_reflow is None or in_reflow is None:
-        raise ConfigInvalid(
-            "materials", "Sn-Pb and In need melting_or_reflow_temp for the process plan")
-
-    steps = [
-        ProcessStep(
-            1, "Attach pins to ribbon cables",
-            "Place each pin tail on a signal trace, align the flipped second cable "
-            f"with ~1 mm vertical offset, compress, and reflow-solder at >= {snpb_reflow:g} degC "
-            "(Sn-Pb), leaving the pin front segment free-hanging.",
-            {"reflow_temp_C": snpb_reflow, "solder": "Sn-Pb"},
-        ),
-        ProcessStep(
-            2, "Place ground solder balls",
-            f"Press solder balls (diameter <= {cfg.solder_ball_diameter * 1e6:g} um) onto the "
-            f"exposed ground traces of width {cfg.ground_curb_width * 1e6:g} um.",
-            {"ball_diameter_m": cfg.solder_ball_diameter,
-             "ground_width_m": cfg.ground_curb_width},
-        ),
-        ProcessStep(
-            3, "Fill and insert",
-            "Fill the interposer holes with epoxy (cure at ~60 degC), insert each "
-            "cable-pin assembly into its channel with the pins threaded through the "
-            "holes on the PTFE spacers; a thin protective photoresist on the pin "
-            "becomes part of the coax dielectric.",
-            {"cure_temp_C": 60.0, "fill": "STYCAST-1266"},
-        ),
-        ProcessStep(
-            4, "Solder grounds in the channel",
-            f"Vacuum-oven the assembly at >= {in_reflow:g} degC to solder the balls "
-            "to the channel wall (In).",
-            {"reflow_temp_C": in_reflow, "solder": "In"},
-        ),
-        ProcessStep(
-            5, "Level the pin tips",
-            f"Adjust every tip flush with the interposer bottom within "
-            f"-/+{cfg.tip_tolerance * 1e6:g} um against mesa stops on an auxiliary chip.",
-            {"tip_tolerance_m": cfg.tip_tolerance},
-        ),
-        ProcessStep(
-            6, "Clean oxides",
-            "Etch the oxide on the pin surface (hydrochloric acid) and on the pads "
-            "(plasma etch)."
-            + (" Conical tips pierce the pad, so the pin carries no soft-metal "
-               "coating (no In coating on pin) and pre-bond cleaning of the pin "
-               "may be unnecessary." if mode == CONICAL else ""),
-            {"mode": mode},
-        ),
-    ]
-    if mode == CONICAL:
-        steps.append(ProcessStep(
-            7, "Bond (conical)",
-            f"Press each sharp tip into its {cfg.pad_thickness * 1e6:g} um pad; "
-            "penetration stays within ~1 um of the pad at flip-chip-like pressure.",
-            {"max_penetration_m": 1e-6, "pad_thickness_m": cfg.pad_thickness},
-        ))
-    else:
-        f_lo = bonding_force(BOND_PRESSURE_RANGE[0], cfg.pad_diameter)
-        f_hi = bonding_force(BOND_PRESSURE_RANGE[1], cfg.pad_diameter)
-        steps.append(ProcessStep(
-            7, "Bond (spherical)",
-            f"Compress each rounded tip onto its pad at {BOND_PRESSURE_RANGE[0]:g}-"
-            f"{BOND_PRESSURE_RANGE[1]:g} N/mm2 "
-            f"({f_lo.newtons:.3g}-{f_hi.newtons:.3g} N per pad).",
-            {"pressure_n_per_mm2": BOND_PRESSURE_RANGE,
-             "force_per_pad_n": (f_lo.newtons, f_hi.newtons)},
-        ))
-    steps.append(ProcessStep(
-        8, "Ultrasonic assist (optional)",
-        "A 20 kHz ultrasonic signal can be applied to ease the pin-pad connection.",
-        {"frequency_hz": 20e3, "optional": True},
-    ))
-    steps.append(ProcessStep(
-        9, "Bond the ground curb",
-        "Bump-bond the In film on the interposer bottom to the In curb on the chip "
-        "ground planes; PTFE spacers sit flush with the bare interposer surface.",
-        {"film_thickness_m": 10e-6},
-    ))
-    return tuple(steps)

@@ -19,6 +19,7 @@ reader and re-exported here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
@@ -272,6 +273,8 @@ def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
     """
     elements = build_signal_path(rf, pin_length, interposer_z,
                                  pin_eps_eff=pin_eps_eff, feed_eps_eff=feed_eps_eff)
+    if rf.points * np.dtype(float).itemsize > sys.maxsize:  # numpy's own error is ValueError
+        raise MemoryError(f"{rf.points:g} frequency points exceed any address space")
     freqs = np.linspace(*rf.band, rf.points)
     with np.errstate(all="ignore"):  # a result out of the float range is reported below
         net = cascade(elements, freqs, z_src=rf.system_impedance, z_load=rf.system_impedance)

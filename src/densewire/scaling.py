@@ -50,9 +50,10 @@ def _squared(x: float) -> float:
 
 
 def _wire_count(x: float) -> float:
-    if not math.isfinite(x):
-        raise OutOfRange("the wire count leaves the float range: the wire pitch is too fine "
-                         "for the chip side")
+    """A wire count, which is positive: 0 is one that underflowed."""
+    if not math.isfinite(x) or x == 0:
+        raise OutOfRange("the wire count leaves the float range: the wire pitch is too "
+                         f"{'fine' if x else 'coarse'} for the chip side")
     return snap_count(x)
 
 

@@ -80,6 +80,20 @@ class TestSubcommands:
         assert drc["analysis"]["passed"] is True
         assert "DRC clean" in capsys.readouterr().out
 
+    def test_layout_reports_the_bonding_force(self, tmp_path, capsys):
+        # 10-20 N/mm2 over each 200 um pad, pi * (100 um)^2, and over all 20 x 20 pads.
+        code, out = run_cli(["layout"], tmp_path)
+        assert code == 0
+        bonding = json.loads((out / "drc.json").read_text())["analysis"]["bonding"]
+        assert bonding["pressure_n_per_mm2"] == [10.0, 20.0]
+        lo, hi = bonding["force_per_pad_n"]
+        assert lo == pytest.approx(math.pi * 10e6 * (100e-6) ** 2, rel=1e-9)  # 0.31416 N
+        assert hi == pytest.approx(2 * lo, rel=1e-12)
+        assert bonding["force_array_n"] == [400 * lo, 400 * hi]
+        assert bonding["force_array_n"] == pytest.approx([125.66, 251.33], abs=0.005)
+        assert ("bonding: 0.314-0.628 N per pad, 126-251 N for 400 pads at 10-20 N/mm2\n"
+                in capsys.readouterr().out)
+
     def test_layout_over_the_size_limit_prints_no_result(self, tmp_path, config_file, capsys):
         raw = json.loads(config_file.read_text())
         raw["layout"]["array_side_count"] = 10**6
@@ -174,6 +188,7 @@ class TestSubcommands:
         assert failing == ["coax-inverse-50ohm"]
         assert code == 2
         assert "PASS coax-z-24" in stdout
+        assert stdout.endswith("\n33/34 golden values reproduced\n")
 
     @pytest.mark.parametrize("command, report", [
         ("scale", "scale.json"), ("impedance", "impedance.json"), ("rf", "rf.json"),

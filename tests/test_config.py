@@ -443,6 +443,16 @@ _BAD_INPUTS = [
     # a traceback from the sweep grid; 1e17 points exceed any address space,
     # so the allocation fails at once
     (("sweeps", 0, "steps"), 10**17, "scale", "sweeps[0].steps"),
+    # a traceback from a grid beyond any index: OverflowError from the sweep
+    # list, ValueError from numpy for the RF grid
+    (("sweeps", 0, "steps"), 10**19, "scale", "sweeps[0].steps"),
+    (("sweeps", 0, "steps"), 1e308, "sweep", "sweeps[0].steps"),
+    (("rf", "points"), 10**19, "rf", "rf.points"),
+    (("rf", "points"), 1e308, "rf", "rf.points"),
+    (("rf", "points"), 2**62, "rf", "rf.points"),  # 2**65 bytes of frequencies
+    # a derived wire pitch of inf gave 0 edge wires, then ZeroDivisionError
+    (("wiring", 0, "bond_geometry", "wire_diameter"), 1e308, "scale", "wiring[0].bond_geometry"),
+    (("wiring", 0, "bond_geometry", "wire_gap"), "1e308m", "sweep", "wiring[0].bond_geometry"),
     # a traceback from a failed allocation: the RF grid of 1e17 points and the
     # layout.json columns of a 10^6 x 10^6 grid ask for 800 PB and 20 TB
     (("rf", "points"), 10**17, "rf", "rf.points"),
@@ -542,6 +552,18 @@ def test_non_finite_report_value_exits_2(raw, tmp_path):
     assert code == 2
     assert err.startswith("error: scale.json: a result is not finite"), err
     assert not (tmp_path / "out").exists()
+
+
+def test_wire_count_underflow_exits_2(raw, tmp_path):
+    # 4 * 1e-300 m / 1e308 m edge wires underflow to 0, which then divided
+    # the chip side.
+    raw["qubit_array"] = {"qubit_pitch": "1e-300m", "chip_side": "1e-300m"}
+    raw["wiring"] = [{"access": "lateral", "wire_pitch": "1e308m"}]
+    for command in ("scale", "sweep"):
+        code, err = _run_cli(raw, command, tmp_path)
+        assert code == 2
+        assert err.startswith("error: the wire count leaves the float range"), err
+        assert not (tmp_path / "out").exists()
 
 
 def test_path_without_conductivity_data_exits_2(raw, tmp_path):
@@ -661,7 +683,7 @@ def test_any_single_leaf_mutation_exits_cleanly(leaf, value, command):
 
 
 # Each magnitude in the leaf's own unit and as a bare SI number.
-_EXTREMES = ("0", "-1", "1e12", "1e-12", "1e300", "1e-300")
+_EXTREMES = ("0", "-1", "1e12", "1e-12", "1e300", "1e308", "1e-300")
 _UNIT = re.compile(r"^[-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?([a-zA-Zµ]\w*)$")
 
 

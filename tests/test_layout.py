@@ -11,19 +11,15 @@ import pytest
 from densewire.config import parse_design_config
 from densewire.errors import ConfigInvalid, UnsupportedFormat
 from densewire.layout import (
-    CONICAL,
     MAX_EXPORT_SITES,
-    SPHERICAL,
     Annotation,
     LayoutConfig,
-    bonding_force,
     check_export_size,
     export_layout,
     generate_layout,
     layout_from_json,
     layout_to_json,
     layout_to_svg,
-    process_checklist,
     run_drc,
 )
 from densewire.tlines import PinStack
@@ -244,20 +240,6 @@ class TestDrc:
         assert [(f.rule, f.severity, f.message) for f in report.findings] == findings
 
 
-class TestBondingForce:
-    def test_low_pressure(self):
-        f = bonding_force(10.0, 200e-6)
-        assert f.newtons == pytest.approx(0.314159, abs=1e-4)
-        assert f.gram_force == pytest.approx(32.0, abs=0.1)
-
-    def test_zero_pressure(self):
-        assert bonding_force(0.0, 200e-6).newtons == 0.0
-
-    def test_linear_in_pressure(self):
-        assert bonding_force(20.0, 200e-6).newtons == pytest.approx(
-            2 * bonding_force(10.0, 200e-6).newtons, rel=1e-12)
-
-
 class TestExports:
     def test_json_round_trip_exact(self):
         layout = generate_layout(NOMINAL, annotations=(
@@ -422,44 +404,3 @@ class TestReader:
         with pytest.raises(ConfigInvalid) as exc:
             layout_from_json(json.dumps(doc))
         assert exc.value.field == field
-
-
-class TestProcessChecklist:
-    def test_conical_notes_uncoated_pin(self, catalog):
-        steps = process_checklist(NOMINAL, CONICAL, catalog)
-        assert any("no In coating on pin" in s.detail for s in steps)
-        assert any(s.data.get("max_penetration_m") == 1e-6 for s in steps)
-
-    def test_spherical_cites_pressure(self, catalog):
-        steps = process_checklist(NOMINAL, SPHERICAL, catalog)
-        bond = next(s for s in steps if s.title.startswith("Bond"))
-        assert bond.data["pressure_n_per_mm2"] == (10.0, 20.0)
-        lo, hi = bond.data["force_per_pad_n"]
-        assert lo == pytest.approx(math.pi * 10e6 * (100e-6) ** 2, rel=1e-9)
-        assert hi == pytest.approx(2 * lo, rel=1e-12)
-
-    @pytest.mark.parametrize("mode", [CONICAL, SPHERICAL])
-    def test_reflow_temps_from_catalog(self, catalog, mode):
-        steps = process_checklist(NOMINAL, mode, catalog)
-        temps = [s.data.get("reflow_temp_C") for s in steps]
-        assert 183.0 in temps
-        assert 157.0 in temps
-
-    def test_steps_are_numbered_in_order(self, catalog):
-        steps = process_checklist(NOMINAL, SPHERICAL, catalog)
-        assert [s.number for s in steps] == list(range(1, len(steps) + 1))
-        assert any(s.data.get("frequency_hz") == 20e3 for s in steps)
-
-    def test_unknown_mode(self, catalog):
-        with pytest.raises(ValueError):
-            process_checklist(NOMINAL, "laser", catalog)
-
-    def test_catalog_without_reflow_temps_rejected(self):
-        from densewire.materials import Material, MaterialCatalog
-
-        bare = MaterialCatalog(entries={
-            "Sn-Pb": Material("Sn-Pb", "conductor"),
-            "In": Material("In", "conductor"),
-        })
-        with pytest.raises(ConfigInvalid):
-            process_checklist(NOMINAL, SPHERICAL, bare)
