@@ -43,6 +43,11 @@ from .units import build, flag, integer, listof, number, optional, pair, raw, se
 
 
 MAX_BAND_HZ = 10e9  # the interconnect is specified DC to ~10 GHz
+_BAND_RULE = f"0 <= f_lo < f_hi <= {MAX_BAND_HZ:.0e} Hz"
+
+
+def _in_band(f_lo: float, f_hi: float) -> bool:
+    return 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,8 @@ class RfSettings:
     bond_inductance: float = 0.0
 
     def __post_init__(self):
-        f_lo, f_hi = self.band
-        if not 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9):
-            raise ValueError(f"band must satisfy 0 <= f_lo < f_hi <= {MAX_BAND_HZ:.0e} Hz")
+        if not _in_band(*self.band):
+            raise ValueError(f"band must satisfy {_BAND_RULE}")
         if self.points < 2:
             raise ValueError("points must be >= 2")
         if self.taper_segments < 1:
@@ -227,7 +231,10 @@ def _cpw(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
 
 
 def _rf(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
-    return {"rf": build(RfSettings, "rf", **doc["rf"])}
+    rf = doc["rf"]
+    if "band" in rf and not _in_band(*rf["band"]):  # named here: the section's build names "rf"
+        raise ConfigInvalid("rf.band", f"must satisfy {_BAND_RULE}")
+    return {"rf": build(RfSettings, "rf", **rf)}
 
 
 def _stage(entry: dict, stages: StageModel, where: str) -> str:

@@ -22,7 +22,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
 from operator import itemgetter
 from typing import Union
 
@@ -292,33 +291,45 @@ def mismatch_report(rf: RfSettings, pin_length: float, interposer_z: float, *,
 
 
 # The CSV and the Touchstone rows share their first five fields: the
-# frequency and Re/Im of S11 (a row's head), then Re/Im of S21.  Each group
-# of a row's cells is formatted once, with a single `%` (faster than an
-# f-string, and "%.12g" % x == f"{x:.12g}" for every float).  The CSV row
-# ends in the two dB columns.  The Touchstone row repeats its S21 text as
-# S12 and ends in S22, and its block turns every comma into a space.
-_HEAD = "%.10g,%.12g,%.12g"
-_PAIR = ",%.12g,%.12g"
-_TAIL = ",%.12g,%.12g\n"
+# frequency and Re/Im of S11 (a row's head), then Re/Im of S21.  A block
+# formats each of its distinct cells once, by one `%` per column group over
+# the group's interleaved cells ("%.12g" % x == f"{x:.12g}" for every
+# float).  The head and S21 texts are split per row, and one more `%` per
+# file places them with "%s" beside the file's own last two cells: the dB
+# columns of the CSV row, and S21 again as S12 and then S22 in the
+# Touchstone row, whose block turns every comma into a space.
+_HEAD = "%.10g,%.12g,%.12g\n"
+_PAIR = ",%.12g,%.12g\n"
+_CSV = "%s%s,%.12g,%.12g\n"
+_S2P = "%s%s%s,%.12g,%.12g\n"
 _BLOCK = 4096  # rows formatted per block
 
 
-def _rows(columns, part: slice):
-    """The rows of the columns within `part`, as tuples of Python floats."""
-    return zip(*(c[part].tolist() for c in columns))
+def _format(row: str, columns: list) -> str:
+    """One `%` of `row`, repeated once per row, over the equally long
+    `columns` interleaved row by row.  The interleaving list is dropped
+    before the `%`, which takes its cells as a tuple."""
+    k, n = len(columns), len(columns[0])
+    cells = [None] * (k * n)
+    for i, column in enumerate(columns):
+        cells[i::k] = column
+    cells = tuple(cells)
+    return row * n % cells
 
 
 def _block(columns, part: slice) -> tuple[str, str]:
     """The CSV and the Touchstone rows within `part`, from the column groups
-    of the head, S21, the dB columns and S22.  A row's pieces are joined
-    interleaved, so no row string is built; each file's last piece is
-    formatted only for its join; and being a function's locals, the
-    block's lists are freed before the block is handed on."""
+    of the head, S21, the dB columns and S22.  A group's floats become
+    Python floats only when it is formatted, and being a function's locals,
+    the block's lists are freed before the block is handed on."""
+    def floats(group):
+        return [c[part].tolist() for c in group]
+
     head, s21, db, s22 = columns
-    head = [_HEAD % r for r in _rows(head, part)]
-    s21 = [_PAIR % r for r in _rows(s21, part)]
-    csv = "".join(chain.from_iterable(zip(head, s21, [_TAIL % r for r in _rows(db, part)])))
-    s2p = "".join(chain.from_iterable(zip(head, s21, s21, [_TAIL % r for r in _rows(s22, part)])))
+    head = _format(_HEAD, floats(head)).splitlines()
+    s21 = _format(_PAIR, floats(s21)).splitlines()
+    csv = _format(_CSV, [head, s21, *floats(db)])
+    s2p = _format(_S2P, [head, s21, s21, *floats(s22)])
     return csv, s2p.replace(",", " ")
 
 

@@ -343,7 +343,7 @@ _BAD_COAX = {"inner_diameter": "300um", "outer_diameter": "200um"}
     ("stages", "rf", _BAD_RF, "stages"),
     ("stages", "coax", _BAD_COAX, "coax"),
     ("thermal", "cpw", _BAD_CPW, "cpw"),
-    ("thermal", "rf", _BAD_RF, "rf"),
+    ("thermal", "rf", _BAD_RF, "rf.band"),
 ], ids=["stages-cpw", "stages-rf", "stages-explicit-coax", "thermal-cpw", "thermal-rf"])
 def test_builder_order_sets_the_first_error(raw, catalog, invalid, section, value, first):
     # Stages are built before cpw and rf, and the thermal section after
@@ -398,7 +398,7 @@ _BAD_INPUTS = [
     (("rf", "points"), "abc", "rf", "rf.points"),
     (("rf", "points"), 1, "rf", "rf.points"),
     (("rf", "points"), 0, "rf", "rf.points"),
-    (("rf", "band"), ["0Hz", "20GHz"], "rf", "rf"),
+    (("rf", "band"), ["0Hz", "20GHz"], "rf", "rf.band"),
     (("thermal", "controllers", 0, "tech"), "bogus", "budget", "thermal.controllers[0]"),
     (("thermal", "controllers", 0, "count"), 0, "budget", "thermal.controllers[0].count"),
     (("wiring", 1, "wires_per_qubit"), "x", "scale", "wiring[1].wires_per_qubit"),
@@ -425,11 +425,11 @@ _BAD_INPUTS = [
     # non-finite through a unit string; a removed section
     (("qubit_array", "chip_side"), "1e999um", "scale", "qubit_array.chip_side"),
     (("controller",), {"tech": "SFQ"}, "scale", "controller"),
-    # a Wiedemann-Franz path reported watts from T^2 at t_cold <= 0; a table
-    # path exited 2; a sweep end-point of another dimension was swept;
-    # a removed field
-    (("thermal", "paths", 0), _WF_PATH | {"t_cold": "-1K"}, "budget", "thermal.paths[0]"),
-    (("thermal", "paths", 0), _WF_PATH | {"t_cold": "0K"}, "budget", "thermal.paths[0]"),
+    # a Wiedemann-Franz path reported watts from T^2 at t_cold <= 0 (t_cold
+    # first, so that the ids tell the two rows apart); a table path exited 2;
+    # a sweep end-point of another dimension was swept; a removed field
+    (("thermal", "paths", 0), {"t_cold": "-1K"} | _WF_PATH, "budget", "thermal.paths[0]"),
+    (("thermal", "paths", 0), {"t_cold": "0K"} | _WF_PATH, "budget", "thermal.paths[0]"),
     (("thermal", "paths", 0, "t_cold"), "-1K", "budget", "thermal.paths[0]"),
     (("sweeps", 0, "start"), "1GHz", "sweep", "sweeps[0].start"),
     (("sweeps", 1, "stop"), "3K", "scale", "sweeps[1].stop"),
@@ -491,13 +491,24 @@ _BAD_INPUTS = [
 
 
 def _bad_input_id(path, value, command) -> str:
-    """The leaf and its value, then the subcommand's options if it has any."""
+    """The whole path and value of a leaf, then the subcommand's options if
+    it has any.  A replaced section or list (a dict or list value) is cut
+    at 40 characters."""
     options = command.partition(" ")[2]
-    return f"{'.'.join(map(str, path))}={value!r}"[:40] + (f" {options}" if options else "")
+    mutated = f"{'.'.join(map(str, path))}={value!r}"
+    if isinstance(value, (dict, list)):
+        mutated = mutated[:40]
+    return mutated + (f" {options}" if options else "")
 
 
-@pytest.mark.parametrize("path,value,command,field", _BAD_INPUTS,
-                         ids=[_bad_input_id(p, v, c) for p, v, c, _ in _BAD_INPUTS])
+_BAD_INPUT_IDS = [_bad_input_id(p, v, c) for p, v, c, _ in _BAD_INPUTS]
+
+
+def test_bad_input_ids_are_unique():
+    assert len(set(_BAD_INPUT_IDS)) == len(_BAD_INPUT_IDS)
+
+
+@pytest.mark.parametrize("path,value,command,field", _BAD_INPUTS, ids=_BAD_INPUT_IDS)
 def test_bad_input_exits_1_naming_field(default_raw, tmp_path, path, value, command, field):
     code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
     assert code == 1

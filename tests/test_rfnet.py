@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from densewire import rfnet
@@ -443,7 +445,34 @@ class TestPinnedText:
             + "[End]\n")
 
 
+# Cells in every form `%.12g` writes: signed zeros, subnormals, exponent
+# form below 1e-4 and from 1e12 on, and fixed point between.  Complex cells
+# add zero magnitudes, whose dB cell is -inf.
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 9.99999999999e-5, -1e-4, 0.1, 123.456,
+                     999999999999.4, 1e12, -3.7e15, 1e300]),
+    st.floats(-1e300, 1e300))
+_COMPLEX_CELLS = st.one_of(st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0)]),
+                           st.builds(complex, _CELLS, _CELLS))
+
+
 class TestBlockedRows:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(n=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1]),
+           reals=st.lists(_CELLS, min_size=1, max_size=8),
+           sparams=st.lists(_COMPLEX_CELLS, min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1), z_src=st.floats(1e-3, 1e6),
+           z_load=st.one_of(st.none(), st.floats(1e-3, 1e6)))
+    def test_any_columns_stream_as_the_oracles(self, n, reals, sparams, seed, z_src, z_load):
+        # Each row takes its frequency and S-parameters from small drawn
+        # pools, so a few drawn cells fill responses across block bounds.
+        # z_load None is an equal reference (a v1 file).
+        rng = np.random.default_rng(seed)
+        s11, s21, s22 = (rng.choice(np.array(sparams), n) for _ in range(3))
+        resp = FrequencyResponse(rng.choice(np.array(reals), n), s11, s21, s22, z_src=z_src,
+                                 z_load=z_src if z_load is None else z_load)
+        self.assert_streamed_pairs_equal_the_oracles(resp, n)
+
     @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     @pytest.mark.parametrize("z0", [24.0, 50.0], ids=["mismatched", "matched"])
     def test_writers_equal_one_row_list_joined_once(self, n, z0):
@@ -461,10 +490,12 @@ class TestBlockedRows:
     @staticmethod
     def assert_streamed_pairs_equal_the_oracles(resp, n):
         """The headers, then a pair per block holding the same rows of both
-        files, then the v2.0 trailer; joined, each file equals its oracle."""
+        files, then the v2.0 trailer; joined, each file equals its oracle.
+        The texts are compared as lists of lines, so that a failure names
+        the first line that differs instead of diffing two whole texts."""
         pairs = list(response_texts(resp))
-        assert "".join(csv for csv, _ in pairs) == oracles.response_csv(resp)
-        assert "".join(s2p for _, s2p in pairs) == oracles.touchstone(resp)
+        for i, oracle in enumerate((oracles.response_csv, oracles.touchstone)):
+            assert "".join(p[i] for p in pairs).splitlines(True) == oracle(resp).splitlines(True)
         rows = [min(_BLOCK, n - i) for i in range(0, n, _BLOCK)]
         assert [(csv.count("\n"), s2p.count("\n")) for csv, s2p in pairs[1:1 + len(rows)]] == [
             (k, k) for k in rows]
