@@ -51,22 +51,17 @@ from .tlines import (
 )
 from .units import read_json
 
-ENV_MATERIALS = "DENSEWIRE_MATERIALS"
 _WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
-# Only `rf` needs rfnet, and with it numpy, so these import it on their first
-# call: every other subcommand starts without numpy.  `_cmd_rf` looks them up
-# in this module's globals at call time, where perfbench's tracer wraps them.
-# `rf` streams `response_texts`; the whole-text writers stay for the tracer.
+# Only `rf` needs rfnet, and with it numpy, so these forwarders import it on
+# their first call: every other subcommand starts without numpy.  They are
+# names perfbench's tracer wraps.  `_cmd_rf` looks `mismatch_report` up in
+# this module's globals at call time and streams `rfnet.response_texts`; the
+# whole-text writers stay for the tracer only.
 def mismatch_report(*args, **kwargs):
     from .rfnet import mismatch_report
     return mismatch_report(*args, **kwargs)
-
-
-def response_texts(*args, **kwargs):
-    from .rfnet import response_texts
-    return response_texts(*args, **kwargs)
 
 
 def response_csv(*args, **kwargs):
@@ -137,12 +132,9 @@ class _Run:
     def __init__(self, args):
         self.out_dir = Path(args.out)
         self.staged: list[Path] = []  # artifact paths written as <name>.tmp
-        option = "--materials" if args.materials else f"${ENV_MATERIALS}"
-        materials_path = args.materials or os.environ.get(ENV_MATERIALS)
-        with _readable(option, materials_path):
+        with _readable("--materials", args.materials):
             self.catalog: MaterialCatalog = (
-                load_catalog(materials_path) if materials_path else default_catalog()
-            )
+                load_catalog(args.materials) if args.materials else default_catalog())
         # One read: the config's hash and its parse come from the same bytes.
         source = (Path(args.config) if args.config
                   else resources.files("densewire").joinpath("data/default_config.json"))
@@ -245,6 +237,7 @@ def _cmd_impedance(run: _Run, args) -> int:
 
 
 def _cmd_rf(run: _Run, args) -> int:
+    from .rfnet import response_texts
     config = run.config
     rf = config.rf
     interposer_z = coax_impedance(config.coax)
@@ -402,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="densewire",
         description="Design analyses for high-density vertical qubit wiring.")
     parser.add_argument("--config", help="design config JSON (default: built-in design point)")
-    parser.add_argument("--materials", help=f"material catalog JSON (or ${ENV_MATERIALS})")
+    parser.add_argument("--materials", help="material catalog JSON (default: built-in catalog)")
     parser.add_argument("--out", default=".", help="artifact output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import units
 from .errors import ConfigInvalid
-from .layout import ANNOTATION, Annotation, LayoutConfig
+from .layout import ANNOTATION, LAYOUT, Annotation, LayoutConfig
 from .materials import MaterialCatalog, default_catalog
 from .scaling import BondWireGeometry, QubitArraySpec, WiringArchitecture, wire_pitch_from_bonds
 from .tlines import CoaxSpec, CpwSpec, PinStack, pin_outer_diameter
@@ -39,7 +39,8 @@ from .thermal import (
     controller_tech,
     default_stage_model,
 )
-from .units import build, flag, integer, listof, number, optional, pair, raw, section, string
+from .units import (
+    build, flag, integer, listof, number, optional, pair, positive_length, raw, section, string)
 
 
 MAX_BAND_HZ = 10e9  # the interconnect is specified DC to ~10 GHz
@@ -106,7 +107,6 @@ def _core_diameter(value, where: str):
 
 length, area, power = units.parse_length, units.parse_area, units.parse_power
 temperature, resistance = units.parse_temperature, units.parse_resistance
-positive_length = units.bounded(length, 0.0, strict=True)
 
 # The whole config schema.  Optional fields without a default here take the
 # value type's own default.
@@ -125,11 +125,7 @@ _SCHEMA = section(
         dielectric=optional(string, "STYCAST-1266"),
         eps_r=optional(units.bounded(number, 1.0)),
         pin_hole_clearance=optional(positive_length, "100um")), {}),
-    layout=section(
-        qubit_pitch=length, array_side_count=integer(1), pad_diameter=length,
-        hole_diameter=length, channel_width=length, channel_depth=length,
-        pin_length=length, pad_thickness=length, tip_tolerance=length,
-        ground_curb_width=length, solder_ball_diameter=optional(length)),
+    layout=LAYOUT,
     coax=optional(section(inner_diameter=length, outer_diameter=length,
                           eps_r=optional(number))),
     cpw=optional(section(

@@ -20,7 +20,8 @@ from functools import cached_property
 
 from .errors import ConfigInvalid, UnsupportedFormat
 from .tlines import PinStack, pin_outer_diameter
-from .units import bounded, integer, listof, number, parse_length, raw, section, string
+from .units import (
+    bounded, integer, listof, number, optional, parse_length, positive_length, raw, section, string)
 
 ERROR = "error"
 WARNING = "warning"
@@ -75,8 +76,16 @@ class Annotation:
     position: float  # distance along the cable from the pin row, meters
 
 
-# One annotation as the design config and layout.json both give it.
+# An annotation and the layout section as the design config and layout.json
+# both give them; layout.json calls the layout section `config`.
 ANNOTATION = section(cable=string, kind=string, position=bounded(parse_length, 0.0))
+LAYOUT = section(
+    qubit_pitch=positive_length, array_side_count=integer(1),
+    pad_diameter=positive_length, hole_diameter=positive_length,
+    channel_width=positive_length, channel_depth=positive_length,
+    pin_length=positive_length, pad_thickness=positive_length,
+    tip_tolerance=positive_length, ground_curb_width=positive_length,
+    solder_ball_diameter=optional(positive_length))
 
 
 class SiteGrid(Sequence):
@@ -99,13 +108,6 @@ class SiteGrid(Sequence):
 
     def __iter__(self):
         return ((x, y) for y in self.ys for x in self.xs)
-
-    def __eq__(self, other):
-        if isinstance(other, SiteGrid):
-            return (self.xs, self.ys) == (other.xs, other.ys)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -298,21 +300,25 @@ _LAYOUT_JSON = section(
                  channel_depth=_positive),
     pads=_SITE_COLUMNS, solder_balls=_SITE_COLUMNS,
     annotations=listof(ANNOTATION),
-    config=raw)
+    config=LAYOUT)
 
 
 def layout_from_json(text: str) -> InterposerLayout:
     """Read a layout.json of format 2.
 
     Raises ConfigInvalid naming the field when the format is not 2, a field
-    (`config` included) is missing or mistyped, or a coordinate column
-    differs from the grid that the `grid` section defines.
+    is missing or mistyped, or a coordinate column differs from the grid
+    that the `grid` section defines.  `config` is read through `LAYOUT`, as
+    a design config's `layout` section is, except that every field is
+    required: the writer writes them all.
     """
     doc = json.loads(text)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != LAYOUT_FORMAT:
         raise ConfigInvalid("format", f"expected layout format {LAYOUT_FORMAT}, got {fmt!r}")
     doc = _LAYOUT_JSON(doc, "")
+    if "solder_ball_diameter" not in doc["config"]:
+        raise ConfigInvalid("config.solder_ball_diameter", "missing required field")
     if doc["units"] != "m":
         raise ConfigInvalid("units", f"expected 'm', got {doc['units']!r}")
     grid = doc["grid"]

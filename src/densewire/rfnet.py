@@ -12,8 +12,7 @@ multiplies by one rule on the four vectors a, b, c and d, which are real
 while the chain is lossless and complex from a series R > 0 on.
 
 This is the one module that imports numpy, and only the `rf` subcommand
-imports it.  `RfSettings` and `MAX_BAND_HZ` are defined with the config
-reader and re-exported here.
+imports it.  `RfSettings` is defined with the config reader.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .config import MAX_BAND_HZ, RfSettings  # noqa: F401
+from .config import RfSettings
 from .errors import OutOfRange
 from .tlines import SPEED_OF_LIGHT
 
@@ -39,7 +38,6 @@ class UniformLine:
     z0: float
     eps_eff: float
     length: float
-    label: str = ""
 
     def __post_init__(self):
         if self.z0 <= 0:
@@ -56,7 +54,6 @@ class SeriesImpedance:
 
     resistance: float = 0.0
     inductance: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if self.resistance < 0 or self.inductance < 0:
@@ -68,7 +65,6 @@ class ShuntAdmittance:
     """Shunt jwC element."""
 
     capacitance: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if self.capacitance < 0:
@@ -253,14 +249,14 @@ def build_signal_path(rf: RfSettings, pin_length: float, interposer_z: float, *,
     system_z, n = rf.system_impedance, rf.taper_segments
     elements: list[NetworkElement] = []
     if rf.feed_length > 0:
-        elements.append(UniformLine(system_z, feed_eps_eff, rf.feed_length, label="cpw-feed"))
+        elements.append(UniformLine(system_z, feed_eps_eff, rf.feed_length))
     if rf.taper_length > 0:
         seg_len = rf.taper_length / n
         for i in range(n):
             zi = system_z * (interposer_z / system_z) ** ((i + 0.5) / n)
-            elements.append(UniformLine(zi, feed_eps_eff, seg_len, label=f"taper-{i:02d}"))
-    elements.append(UniformLine(interposer_z, pin_eps_eff, pin_length, label="coax-pin"))
-    elements.append(SeriesImpedance(rf.bond_resistance, rf.bond_inductance, label="bond"))
+            elements.append(UniformLine(zi, feed_eps_eff, seg_len))
+    elements.append(UniformLine(interposer_z, pin_eps_eff, pin_length))
+    elements.append(SeriesImpedance(rf.bond_resistance, rf.bond_inductance))
     return elements
 
 

@@ -246,12 +246,6 @@ class StageRow:
 class StageReport:
     rows: tuple[StageRow, ...]
 
-    def row(self, stage: str) -> StageRow:
-        for r in self.rows:
-            if r.stage == stage:
-                return r
-        raise KeyError(f"no stage named {stage!r}")
-
     def to_csv(self) -> str:
         lines = ["stage,temperature_k,cooling_power_w,controller_w,conduction_w,"
                  "total_w,feasible,margin,methods"]

@@ -153,6 +153,9 @@ def bounded(kind, low: float, strict: bool = False):
     return read
 
 
+positive_length = bounded(parse_length, 0.0, strict=True)
+
+
 def raw(value, where: str):
     """Any JSON value, unchecked here; its reader checks it later."""
     return value

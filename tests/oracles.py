@@ -97,9 +97,7 @@ def _complex_abcd(e, f: np.ndarray) -> tuple:
         return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
     if isinstance(e, rfnet.ShuntAdmittance):
         return 1.0, 0.0, 1j * 2.0 * math.pi * f * e.capacitance, 1.0
-    gamma = e.attenuation_db * math.log(10.0) / 20.0
-    ch, sh = math.cosh(gamma), math.sinh(gamma)
-    return ch, e.z_ref * sh, sh / e.z_ref, ch
+    raise TypeError(f"not a network element: {e!r}")
 
 
 def unshared_cascade(chain, f) -> list:

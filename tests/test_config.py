@@ -623,6 +623,18 @@ def test_point_rejected_across_sections_names_its_sweep_and_writes_nothing(raw, 
 
 @pytest.mark.parametrize("command", ["scale", "impedance", "rf", "layout", "budget", "sweep",
                                      "paper-check"])
+@pytest.mark.parametrize("end, value", [("start", "0um"), ("stop", -1e-4)])
+def test_non_positive_layout_sweep_end_point_names_it(raw, tmp_path, command, end, value):
+    # The end-points are read with the swept field's kind, and a layout length is > 0.
+    raw["sweeps"][0][end] = value
+    code, err = _run_cli(raw, command, tmp_path)
+    assert code == 1
+    assert err.startswith(f"error: sweeps[0].{end}: must be > 0, got "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["scale", "impedance", "rf", "layout", "budget", "sweep",
+                                     "paper-check"])
 def test_a_sweep_cannot_sweep_the_sweeps(raw, tmp_path, command):
     raw["sweeps"][1]["parameter"] = "sweeps.0.steps"
     code, err = _run_cli(raw, command, tmp_path)

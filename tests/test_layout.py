@@ -24,6 +24,7 @@ from densewire.layout import (
 )
 from densewire.tlines import PinStack
 from oracles import columnar_layout_json, svg_use_lines
+from test_config import _BAD_VALUES
 
 NOMINAL = LayoutConfig(
     qubit_pitch=500e-6,
@@ -67,8 +68,8 @@ def bits(points) -> bytes:
 class TestGeneration:
     def test_unit_array(self):
         layout = generate_layout(mutate(array_side_count=1))
-        assert layout.pad_centers == ((0.0, 0.0),)
-        assert layout.hole_centers == ((0.0, 0.0),)
+        assert tuple(layout.pad_centers) == ((0.0, 0.0),)
+        assert tuple(layout.hole_centers) == ((0.0, 0.0),)
 
     def test_three_by_three_rows(self):
         layout = generate_layout(NOMINAL)
@@ -403,4 +404,33 @@ class TestReader:
         damage(doc)
         with pytest.raises(ConfigInvalid) as exc:
             layout_from_json(json.dumps(doc))
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("leaf", [f.name for f in dataclasses.fields(LayoutConfig)])
+    def test_config_is_read_like_the_design_config_layout(self, leaf):
+        # Of the bad values, a positive number is a length, and 1 a side count.
+        layout = generate_layout(NOMINAL)
+        doc = json.loads(layout_to_json(layout, NOMINAL))
+        good = (1,) if leaf == "array_side_count" else (1, 0.5, 2.5)
+        for value in _BAD_VALUES:
+            text = json.dumps(doc | {"config": doc["config"] | {leaf: value}})
+            if not isinstance(value, bool) and value in good:
+                assert layout_from_json(text) == layout
+                continue
+            with pytest.raises(ConfigInvalid) as exc:
+                layout_from_json(text)
+            assert exc.value.field == f"config.{leaf}", value
+        config = {k: v for k, v in doc["config"].items() if k != leaf}
+        for damaged, field in ((config, f"config.{leaf}"),
+                               (doc["config"] | {leaf + "_x": 1.0}, f"config.{leaf}_x")):
+            with pytest.raises(ConfigInvalid) as exc:
+                layout_from_json(json.dumps(doc | {"config": damaged}))
+            assert exc.value.field == field
+
+    @pytest.mark.parametrize("config, field", [(5, "config"), ([], "config"),
+                                               ({}, "config.qubit_pitch")])
+    def test_config_that_is_no_layout_config(self, config, field):
+        doc = json.loads(layout_to_json(generate_layout(NOMINAL), NOMINAL))
+        with pytest.raises(ConfigInvalid) as exc:
+            layout_from_json(json.dumps(doc | {"config": config}))
         assert exc.value.field == field

@@ -227,6 +227,8 @@ class TestCascade:
         chain.insert(at, (1.0, 0.0, 0.0, 1.0))
         with pytest.raises(TypeError, match="not a network element"):
             cascade(chain, [1e9, 2e9])
+        with pytest.raises(TypeError, match="not a network element"):  # the oracle agrees
+            unshared_cascade(chain, np.array([1e9, 2e9]))
 
 
 class TestSParameters:

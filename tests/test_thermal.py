@@ -172,6 +172,11 @@ class TestWiedemannFranz:
             wiedemann_franz_load(ConductionPath("Cu", 1e-6, 0.1, 4.0, 1.0))
 
 
+def _row(report, stage: str):
+    """The report's row for `stage`."""
+    return next(r for r in report.rows if r.stage == stage)
+
+
 class TestStageReport:
     def test_empty_architecture(self, catalog):
         report = stage_report(ThermalArchitecture(), default_stage_model(), catalog)
@@ -180,7 +185,7 @@ class TestStageReport:
     def test_single_block_reproduces_budget(self, catalog):
         arch = ThermalArchitecture(controllers=(("3K", 100_000, SFQ_CONTROLLER),))
         report = stage_report(arch, default_stage_model(), catalog)
-        row = report.row("3K")
+        row = _row(report, "3K")
         budget = controller_budget(100_000, SFQ_CONTROLLER, STAGE_3K)
         assert row.total_watts == pytest.approx(budget.total, rel=1e-12)
         assert row.margin == pytest.approx(budget.margin, rel=1e-12)
@@ -193,16 +198,16 @@ class TestStageReport:
                          default_stage_model(), catalog)
         b = stage_report(ThermalArchitecture(paths=(("10mK", two), ("10mK", two))),
                          default_stage_model(), catalog)
-        assert a.row("10mK").conduction_watts == pytest.approx(
-            b.row("10mK").conduction_watts, rel=1e-12)
+        assert _row(a, "10mK").conduction_watts == pytest.approx(
+            _row(b, "10mK").conduction_watts, rel=1e-12)
 
     def test_wiedemann_franz_flagged(self, catalog):
         # Al carries no k(T) table, so the report falls back and flags it.
         path = ConductionPath("Al", 1e-6, 0.1, 3.0, 0.7, residual_resistivity=1e-9)
         report = stage_report(ThermalArchitecture(paths=(("0.7K", path),)),
                               default_stage_model(), catalog)
-        assert report.row("0.7K").methods == ("wiedemann-franz",)
-        assert report.row("0.7K").conduction_watts == pytest.approx(
+        assert _row(report, "0.7K").methods == ("wiedemann-franz",)
+        assert _row(report, "0.7K").conduction_watts == pytest.approx(
             wiedemann_franz_load(path), rel=1e-12)
 
     def test_csv_and_text_render(self, catalog):
