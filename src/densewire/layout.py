@@ -301,16 +301,21 @@ _LAYOUT_JSON = section(
     pads=_SITE_COLUMNS, solder_balls=_SITE_COLUMNS,
     annotations=listof(ANNOTATION),
     config=LAYOUT)
+# Each `config` field that `grid` repeats: (config field, grid field).
+_GRID_IN_CONFIG = (("qubit_pitch", "pitch"), ("array_side_count", "side_count"),
+                   ("channel_width", "channel_width"), ("channel_depth", "channel_depth"))
 
 
 def layout_from_json(text: str) -> InterposerLayout:
     """Read a layout.json of format 2.
 
     Raises ConfigInvalid naming the field when the format is not 2, a field
-    is missing or mistyped, or a coordinate column differs from the grid
-    that the `grid` section defines.  `config` is read through `LAYOUT`, as
-    a design config's `layout` section is, except that every field is
-    required: the writer writes them all.
+    is missing or mistyped, a `config` field that the `grid` section repeats
+    differs from it, or a coordinate column differs from the grid that the
+    `grid` section defines.  `config` is read through `LAYOUT`, as a design
+    config's `layout` section is, except that every field is required: the
+    writer writes them all.  The writer writes `grid` and `config` from the
+    same floats, so they are compared exactly.
     """
     doc = json.loads(text)
     fmt = doc.get("format") if isinstance(doc, dict) else None
@@ -330,6 +335,10 @@ def layout_from_json(text: str) -> InterposerLayout:
         for axis, got in doc[name].items():
             if not isinstance(got, list) or len(got) != n * n:
                 raise ConfigInvalid(f"{name}.{axis}", f"expected a list of {n * n} numbers")
+    for leaf, key in _GRID_IN_CONFIG:
+        if doc["config"][leaf] != grid[key]:
+            raise ConfigInvalid(f"config.{leaf}", f"is {doc['config'][leaf]!r}, but "
+                                f"grid.{key} is {grid[key]!r}")
     for name, sites in (("pads", layout.pad_centers), ("solder_balls", layout.solder_ball_sites)):
         for axis, want in _columns(sites).items():
             got = doc[name][axis]

@@ -11,6 +11,10 @@ product of them (Pozar, *Microwave Engineering*, ch. 4).  The cascade
 multiplies by one rule on the four vectors a, b, c and d, which are real
 while the chain is lossless and complex from a series R > 0 on.
 
+The response's CSV and Touchstone texts are formatted in fixed blocks of
+rows.  When there is more than one block, a forked child formats the later
+half of them while this process formats the earlier half.
+
 This is the one module that imports numpy, and only the `rf` subcommand
 imports it.  `RfSettings` is defined with the config reader.
 """
@@ -18,7 +22,12 @@ imports it.  `RfSettings` is defined with the config reader.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import struct
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
@@ -329,10 +338,75 @@ def _block(columns, part: slice) -> tuple[str, str]:
     return csv, s2p.replace(",", " ")
 
 
+# A response of more than one block is formatted in two processes: the
+# parent formats the first half of the blocks and yields them as it goes,
+# while a forked child formats the rest into an unlinked temporary file,
+# one frame per block: the two encoded lengths, then the CSV and the
+# Touchstone bytes.  The parent then reaps the child and yields its frames.
+# Forking is safe although numpy runs an OpenBLAS thread: the columns exist
+# before the fork, and the child only slices them, calls `tolist`, formats
+# with `%` and writes, which enters nothing that thread could hold.  The
+# child never returns: it leaves by `os._exit`, without running the
+# parent's cleanup or flushing its buffers, with a status that tells a
+# failed allocation from any other failure.
+_FRAME = struct.Struct("<QQ")
+_CHILD_FAILED, _CHILD_OUT_OF_MEMORY = 1, 3
+
+
+def _format_into(file, columns, starts) -> None:
+    """The child: write the frames of the blocks at `starts` to `file`, then exit."""
+    status = _CHILD_FAILED
+    try:
+        for i in starts:
+            csv, s2p = (text.encode() for text in _block(columns, slice(i, i + _BLOCK)))
+            file.write(_FRAME.pack(len(csv), len(s2p)))
+            file.write(csv)
+            file.write(s2p)
+        file.flush()
+        status = 0
+    except MemoryError:
+        status = _CHILD_OUT_OF_MEMORY
+    finally:
+        os._exit(status)
+
+
+def _forked_blocks(columns, starts):
+    """The (CSV, Touchstone) pairs of the blocks at `starts`, the later half
+    formatted by a forked child.  Every way out of the generator reaps the
+    child; one that leaves before the child is waited for kills it first."""
+    half = (len(starts) + 1) // 2
+    with tempfile.TemporaryFile() as file:
+        with warnings.catch_warnings():  # Python >= 3.12 warns of the OpenBLAS thread; see above
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            _format_into(file, columns, starts[half:])
+        try:
+            for i in starts[:half]:
+                yield _block(columns, slice(i, i + _BLOCK))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = 0
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if status == _CHILD_OUT_OF_MEMORY:
+            raise MemoryError("the child formatting the RF text ran out of memory")
+        if status:
+            raise OSError(f"the child formatting the RF text failed with status {status}")
+        file.seek(0)
+        for _ in starts[half:]:
+            n_csv, n_s2p = _FRAME.unpack(file.read(_FRAME.size))
+            yield file.read(n_csv).decode(), file.read(n_s2p).decode()
+
+
 def response_texts(resp: FrequencyResponse):
     """The CSV and the Touchstone text of `resp`, as (CSV, Touchstone) pairs
     of blocks in file order: the headers, a pair per `_BLOCK` rows, and the
-    Touchstone trailer.  Only one block's floats and strings exist at a time.
+    Touchstone trailer.  In each process, only one block's floats and
+    strings exist at a time: over more than one block, a forked child
+    formats the later half (see `_forked_blocks`).
 
     The CSV columns are frequency, Re/Im of S11 and S21, and their dB
     magnitudes.  The Touchstone text is a two-port file in real/imaginary
@@ -350,8 +424,12 @@ def response_texts(resp: FrequencyResponse):
     yield "frequency_hz,s11_re,s11_im,s21_re,s21_im,s11_db,s21_db\n", head
     columns = ((resp.frequencies, resp.s11.real, resp.s11.imag), (resp.s21.real, resp.s21.imag),
                (resp.s11_db(), resp.s21_db()), (resp.s22.real, resp.s22.imag))
-    for i in range(0, len(resp.frequencies), _BLOCK):
-        yield _block(columns, slice(i, i + _BLOCK))
+    starts = range(0, len(resp.frequencies), _BLOCK)
+    if len(starts) > 1 and hasattr(os, "fork"):
+        yield from _forked_blocks(columns, starts)
+    else:
+        for i in starts:
+            yield _block(columns, slice(i, i + _BLOCK))
     if v2:
         yield "", "[End]\n"
 

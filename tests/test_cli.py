@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from densewire import cli
+from densewire import cli, rfnet
 from densewire.cli import _write_atomic, main
 from densewire.config import parse_design_config
 from densewire.materials import default_catalog
 from densewire.thermal import controller_budget
+from test_rfnet import assert_no_child
 
 
 def _raise_disk_full(text):
@@ -67,6 +68,17 @@ class TestSubcommands:
         doc = json.loads((out / "rf.json").read_text())
         assert 0 < doc["analysis"]["worst_s11"] <= 1
         assert doc["analysis"]["passivity_residual"] < 1e-12  # lossless built-in path
+
+    def test_rf_over_several_blocks(self, tmp_path, config_file):
+        raw = json.loads(config_file.read_text())
+        raw["rf"]["points"] = 3 * 2048 + 5  # two blocks: a child formats the second
+        config_file.write_text(json.dumps(raw))
+        code, out = run_cli(["--config", str(config_file), "rf"], tmp_path)
+        assert code == 0
+        for name in ("rf_response.csv", "rf.s2p"):
+            assert (out / name).read_text().count("\n") == 3 * 2048 + 6
+        assert list(out.glob("*.tmp")) == []
+        assert_no_child()
 
     def test_layout_formats(self, tmp_path, capsys):
         code, out = run_cli(["layout", "--format", "both"], tmp_path)
@@ -295,6 +307,32 @@ class TestErrors:
         assert {p.name: p.read_bytes() for p in out.glob("*")} == before
         if not earlier:
             assert not (out / "rf_response.csv").exists() and not (out / "rf.s2p").exists()
+
+    @pytest.mark.parametrize("error, code, message", [
+        (MemoryError, 1, "rf.points: 6149 frequency points do not fit in memory"),
+        (OSError, 2, "the child formatting the RF text failed with status 1"),
+    ], ids=["memory", "other"])
+    def test_failed_child_exits_as_the_serial_path(self, tmp_path, config_file, monkeypatch,
+                                                   capsys, error, code, message):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "rf"]) == 0
+        before = _tree(out)
+        raw = json.loads(config_file.read_text())
+        raw["rf"]["points"] = 3 * 2048 + 5  # two blocks: the child formats the second
+        config_file.write_text(json.dumps(raw))
+        real = rfnet._block
+
+        def failing_in_the_child(columns, part):
+            if part.start >= rfnet._BLOCK:
+                raise error("no block")
+            return real(columns, part)
+
+        monkeypatch.setattr(rfnet, "_block", failing_in_the_child)
+        assert main(["--config", str(config_file), "--out", str(out), "rf"]) == code
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"  # one line: no traceback
+        assert _tree(out) == before
+        assert_no_child()
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-an-earlier-run"])
     def test_directory_in_the_way_renames_nothing(self, tmp_path, capsys, earlier):

@@ -409,9 +409,12 @@ class TestReader:
     @pytest.mark.parametrize("leaf", [f.name for f in dataclasses.fields(LayoutConfig)])
     def test_config_is_read_like_the_design_config_layout(self, leaf):
         # Of the bad values, a positive number is a length, and 1 a side count.
+        # A field that `grid` repeats must also equal it, which none of them do.
         layout = generate_layout(NOMINAL)
         doc = json.loads(layout_to_json(layout, NOMINAL))
         good = (1,) if leaf == "array_side_count" else (1, 0.5, 2.5)
+        if leaf in ("qubit_pitch", "array_side_count", "channel_width", "channel_depth"):
+            good = ()
         for value in _BAD_VALUES:
             text = json.dumps(doc | {"config": doc["config"] | {leaf: value}})
             if not isinstance(value, bool) and value in good:
@@ -426,6 +429,29 @@ class TestReader:
             with pytest.raises(ConfigInvalid) as exc:
                 layout_from_json(json.dumps(doc | {"config": damaged}))
             assert exc.value.field == field
+
+    @pytest.mark.parametrize("leaf, key, value", [
+        ("qubit_pitch", "pitch", 1e-3), ("array_side_count", "side_count", 7),
+        ("channel_width", "channel_width", 301e-6), ("channel_depth", "channel_depth", 2e-3)])
+    def test_config_that_differs_from_the_grid(self, leaf, key, value):
+        doc = json.loads(layout_to_json(generate_layout(NOMINAL), NOMINAL))
+        with pytest.raises(ConfigInvalid) as exc:
+            layout_from_json(json.dumps(doc | {"config": doc["config"] | {leaf: value}}))
+        assert exc.value.field == f"config.{leaf}"
+        assert exc.value.message == f"is {value!r}, but grid.{key} is {doc['grid'][key]!r}"
+
+    def test_config_of_another_grid_is_rejected(self, catalog):
+        # The built-in layout.json with a config of pitch 1 mm, side 7 and
+        # depth 2 mm: the first field that differs from the grid is named.
+        raw = json.loads(resources.files("densewire").joinpath("data/default_config.json")
+                         .read_text("utf-8"))
+        cfg = parse_design_config(raw, catalog).layout
+        doc = json.loads(layout_to_json(generate_layout(cfg), cfg))
+        other = doc["config"] | {"qubit_pitch": 1e-3, "array_side_count": 7,
+                                 "channel_depth": 2e-3}
+        with pytest.raises(ConfigInvalid) as exc:
+            layout_from_json(json.dumps(doc | {"config": other}))
+        assert exc.value.field == "config.qubit_pitch"
 
     @pytest.mark.parametrize("config, field", [(5, "config"), ([], "config"),
                                                ({}, "config.qubit_pitch")])

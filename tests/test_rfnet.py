@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ from oracles import (
     line_two_step_s21,
     unshared_cascade,
 )
+
+
+def assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # The pin and the feed of every reported path sit in an eps_r = 3 fill.
@@ -502,6 +509,55 @@ class TestBlockedRows:
         assert [(csv.count("\n"), s2p.count("\n")) for csv, s2p in pairs[1:1 + len(rows)]] == [
             (k, k) for k in rows]
         assert pairs[1 + len(rows):] == ([("", "[End]\n")] if resp.z_load != resp.z_src else [])
+
+    @pytest.mark.parametrize("z_load", [50.0, 75.0], ids=["v1", "v2"])
+    def test_a_forked_half_joins_as_the_oracles(self, z_load):
+        # 25 blocks, the last one short: a child formats the later 12.
+        n = 24 * _BLOCK + 1696
+        resp = dataclasses.replace(
+            to_s_parameters(cascade([UniformLine(24.0, 3.0, 0.02)], np.linspace(0, 10e9, n))),
+            z_load=z_load)
+        self.assert_streamed_pairs_equal_the_oracles(resp, n)
+        assert_no_child()
+
+    def test_an_early_close_reaps_the_child(self):
+        n = 4 * _BLOCK
+        texts = response_texts(to_s_parameters(cascade([UniformLine(24.0, 3.0, 0.02)],
+                                                       np.linspace(0, 10e9, n))))
+        next(texts), next(texts)  # the headers, then the first block: the child has forked
+        texts.close()
+        assert_no_child()
+
+    def test_an_error_in_the_parent_reaps_the_child(self, monkeypatch):
+        real = rfnet._block
+
+        def failing_in_the_parent(columns, part):
+            if part.start == _BLOCK:  # the second of the parent's two blocks
+                raise MemoryError
+            return real(columns, part)
+
+        monkeypatch.setattr(rfnet, "_block", failing_in_the_parent)
+        texts = response_texts(to_s_parameters(cascade([UniformLine(24.0, 3.0, 0.02)],
+                                                       np.linspace(0, 10e9, 4 * _BLOCK))))
+        with pytest.raises(MemoryError):
+            list(texts)
+        assert_no_child()
+
+    def test_one_block_never_forks(self, monkeypatch):
+        def no_fork():
+            raise OSError(11, "fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        resp = to_s_parameters(cascade([UniformLine(24.0, 3.0, 0.02)],
+                                       np.linspace(0, 10e9, _BLOCK)))
+        self.assert_streamed_pairs_equal_the_oracles(resp, _BLOCK)
+
+    def test_without_fork_every_block_is_formatted_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        n = 2 * _BLOCK + 1
+        resp = to_s_parameters(cascade([UniformLine(24.0, 3.0, 0.02)],
+                                       np.linspace(0, 10e9, n)))
+        self.assert_streamed_pairs_equal_the_oracles(resp, n)
 
     @pytest.mark.parametrize("writer", [response_csv, touchstone])
     def test_peak_memory_is_about_twice_the_text(self, writer, traced_peak):
