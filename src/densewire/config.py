@@ -205,7 +205,8 @@ def _interposer(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
         if core <= 0:
             raise ConfigInvalid(
                 "pin_stack.core_diameter",
-                "auto-derived core is not positive; check hole diameter and clearance")
+                "auto-derived core is not positive; check layout.hole_diameter, "
+                "interposer.pin_hole_clearance and pin_stack.coatings")
         pin = pin | {"core_diameter": core}
     pin_stack = build(PinStack, "pin_stack", **pin)
     for i, (name, _) in enumerate(pin_stack.coatings):

@@ -11,9 +11,12 @@ product of them (Pozar, *Microwave Engineering*, ch. 4).  The cascade
 multiplies by one rule on the four vectors a, b, c and d, which are real
 while the chain is lossless and complex from a series R > 0 on.
 
-The response's CSV and Touchstone texts are formatted in fixed blocks of
-rows.  When there is more than one block, a forked child formats the later
-half of them while this process formats the earlier half.
+The cascade runs in fixed passes of frequencies, and the response's CSV and
+Touchstone texts are formatted in fixed blocks of rows.  Over more than one
+pass, a forked child multiplies the later half of the passes, and over more
+than one block, another formats the later half of the blocks, each while
+this process does the earlier half.  Each child is reaped before the
+function that forked it returns (see `_forked`).
 
 This is the one module that imports numpy, and only the `rf` subcommand
 imports it.  `RfSettings` is defined with the config reader.
@@ -21,6 +24,7 @@ imports it.  `RfSettings` is defined with the config reader.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import signal
@@ -28,6 +32,7 @@ import struct
 import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
@@ -162,6 +167,16 @@ class TwoPortNetwork:
 _PASS = 8192
 
 
+def _multiply(elements, f: np.ndarray, out) -> None:
+    """Multiply the chain over the grid `f`, `_PASS` frequencies at a time,
+    into the four vectors `out` as A, jb, jc and D."""
+    A, B, C, D = out
+    for i in range(0, f.size, _PASS):
+        part, phases = slice(i, i + _PASS), {}
+        a, b, c, d = reduce(_product, (_abcd(e, f[part], phases) for e in elements))
+        A[part], B[part], C[part], D[part] = a, 1j * b, 1j * c, d
+
+
 def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) -> TwoPortNetwork:
     """Multiply element ABCD matrices in chain order (first element at the source).
 
@@ -172,6 +187,13 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
     and D.  These equal the textbook all-complex product in value; the
     signs of their zero parts may differ.  The grid and the port
     references are checked before the first product.
+
+    Over more than one pass, a forked child multiplies the later half of
+    the passes, `m - m // 2` of `m`, into an anonymous shared mapping while
+    this process multiplies the rest.  Every point is multiplied in the
+    same position within its pass either way, so the bytes are the same.
+    The child is reaped and its vectors copied into the network before the
+    mapping is closed and the network returned.
     """
     elements = list(elements)
     if not elements:
@@ -179,11 +201,73 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
     f = np.asarray(frequencies, dtype=float)
     net = TwoPortNetwork(f, *(np.zeros(f.shape, dtype=complex) for _ in range(4)),
                          z_src=z_src, z_load=z_load)
-    for i in range(0, f.size, _PASS):
-        part, phases = slice(i, i + _PASS), {}
-        a, b, c, d = reduce(_product, (_abcd(e, f[part], phases) for e in elements))
-        net.A[part], net.B[part], net.C[part], net.D[part] = a, 1j * b, 1j * c, d
+    out = (net.A, net.B, net.C, net.D)
+    passes = range(0, f.size, _PASS)
+    lo = passes[len(passes) // 2]  # the child's first point; 0 over a single pass
+    if not (lo and hasattr(os, "fork")):
+        _multiply(elements, f, out)
+        return net
+    import mmap  # a shared library, loaded only by a cascade that forks
+    try:
+        shared = mmap.mmap(-1, 4 * (f.size - lo) * np.dtype(complex).itemsize)
+    except OSError as e:
+        if e.errno != errno.ENOMEM:
+            raise
+        raise MemoryError("no shared memory for the later passes of the RF cascade") from None
+    with shared:
+        def later():  # the child's A, B, C and D, as views of the mapping
+            return np.frombuffer(shared, complex).reshape(4, -1)
+
+        with _forked(lambda: _multiply(elements, f[lo:], later()), "multiplying the RF cascade"):
+            _multiply(elements, f[:lo], [v[:lo] for v in out])
+        net.A[lo:], net.B[lo:], net.C[lo:], net.D[lo:] = later()  # no view outlives the copy
     return net
+
+
+# Work split between this process and a forked child.  Forking is safe
+# although numpy runs an OpenBLAS thread: the child's inputs exist before the
+# fork, and it enters nothing that thread could hold.  The cascade child
+# runs only elementwise ufuncs (cos, sin, multiply, add), never BLAS.  The
+# text child only slices columns, calls `tolist`, formats with `%` and
+# writes.  The child never returns: it leaves by `os._exit`, without running
+# the parent's cleanup or flushing its buffers, with a status that tells a
+# failed allocation from any other failure.
+_CHILD_FAILED, _CHILD_OUT_OF_MEMORY = 1, 3
+
+
+@contextmanager
+def _forked(work, what: str):
+    """Run `work()` in a forked child while the body of the `with` runs here.
+
+    When the body ends, the child is waited for, and its failure raised
+    here: `MemoryError` for a failed allocation, `OSError` for any other.
+    Every other way out of the body kills the child and reaps it.
+    """
+    with warnings.catch_warnings():  # Python >= 3.12 warns of the OpenBLAS thread; see above
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        status = _CHILD_FAILED
+        try:
+            work()
+            status = 0
+        except MemoryError:
+            status = _CHILD_OUT_OF_MEMORY
+        finally:
+            os._exit(status)
+    try:
+        yield
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = 0
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status == _CHILD_OUT_OF_MEMORY:
+        raise MemoryError(f"the child {what} ran out of memory")
+    if status:
+        raise OSError(f"the child {what} failed with status {status}")
 
 
 @dataclass(frozen=True)
@@ -340,34 +424,21 @@ def _block(columns, part: slice) -> tuple[str, str]:
 
 # A response of more than one block is formatted in two processes: the
 # parent formats the first half of the blocks and yields them as it goes,
-# while a forked child formats the rest into an unlinked temporary file,
-# one frame per block: the two encoded lengths, then the CSV and the
-# Touchstone bytes.  The parent then reaps the child and yields its frames.
-# Forking is safe although numpy runs an OpenBLAS thread: the columns exist
-# before the fork, and the child only slices them, calls `tolist`, formats
-# with `%` and writes, which enters nothing that thread could hold.  The
-# child never returns: it leaves by `os._exit`, without running the
-# parent's cleanup or flushing its buffers, with a status that tells a
-# failed allocation from any other failure.
+# while a forked child (`_forked`) formats the rest into an unlinked
+# temporary file, one frame per block: the two encoded lengths, then the CSV
+# and the Touchstone bytes.  The parent then reaps the child and yields its
+# frames.
 _FRAME = struct.Struct("<QQ")
-_CHILD_FAILED, _CHILD_OUT_OF_MEMORY = 1, 3
 
 
 def _format_into(file, columns, starts) -> None:
-    """The child: write the frames of the blocks at `starts` to `file`, then exit."""
-    status = _CHILD_FAILED
-    try:
-        for i in starts:
-            csv, s2p = (text.encode() for text in _block(columns, slice(i, i + _BLOCK)))
-            file.write(_FRAME.pack(len(csv), len(s2p)))
-            file.write(csv)
-            file.write(s2p)
-        file.flush()
-        status = 0
-    except MemoryError:
-        status = _CHILD_OUT_OF_MEMORY
-    finally:
-        os._exit(status)
+    """The child's work: write the frames of the blocks at `starts` to `file`."""
+    for i in starts:
+        csv, s2p = (text.encode() for text in _block(columns, slice(i, i + _BLOCK)))
+        file.write(_FRAME.pack(len(csv), len(s2p)))
+        file.write(csv)
+        file.write(s2p)
+    file.flush()
 
 
 def _forked_blocks(columns, starts):
@@ -376,25 +447,9 @@ def _forked_blocks(columns, starts):
     child; one that leaves before the child is waited for kills it first."""
     half = (len(starts) + 1) // 2
     with tempfile.TemporaryFile() as file:
-        with warnings.catch_warnings():  # Python >= 3.12 warns of the OpenBLAS thread; see above
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _format_into(file, columns, starts[half:])
-        try:
+        with _forked(lambda: _format_into(file, columns, starts[half:]), "formatting the RF text"):
             for i in starts[:half]:
                 yield _block(columns, slice(i, i + _BLOCK))
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = 0
-        finally:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if status == _CHILD_OUT_OF_MEMORY:
-            raise MemoryError("the child formatting the RF text ran out of memory")
-        if status:
-            raise OSError(f"the child formatting the RF text failed with status {status}")
         file.seek(0)
         for _ in starts[half:]:
             n_csv, n_s2p = _FRAME.unpack(file.read(_FRAME.size))

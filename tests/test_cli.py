@@ -1,6 +1,8 @@
 import csv
+import errno
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -331,6 +333,43 @@ class TestErrors:
         assert main(["--config", str(config_file), "--out", str(out), "rf"]) == code
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"  # one line: no traceback
+        assert _tree(out) == before
+        assert_no_child()
+
+    @pytest.mark.parametrize("where, error, code, message", [
+        ("child", MemoryError, 1, "rf.points: 16387 frequency points do not fit in memory"),
+        ("child", ValueError, 2, "the child multiplying the RF cascade failed with status 1"),
+        ("parent", MemoryError, 1, "rf.points: 16387 frequency points do not fit in memory"),
+        ("mmap", None, 1, "rf.points: 16387 frequency points do not fit in memory"),
+    ], ids=["child-memory", "child-other", "parent-memory", "mmap-enomem"])
+    def test_failed_cascade_split_exits_as_the_serial_path(self, tmp_path, config_file,
+                                                          monkeypatch, capsys, where, error,
+                                                          code, message):
+        raw = json.loads(config_file.read_text())
+        raw["rf"]["points"] = 2 * rfnet._PASS + 3  # two passes and a part: a child multiplies two
+        config_file.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["--config", str(config_file), "--out", str(out), "rf"]) == 0
+        assert_no_child()
+        before = _tree(out)
+        capsys.readouterr()
+        parent, real = os.getpid(), rfnet._abcd
+
+        def failing(e, f, phases):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise error("no pass")
+            return real(e, f, phases)
+
+        def no_mapping(*args):
+            raise OSError(errno.ENOMEM, "no memory")
+
+        if where == "mmap":
+            monkeypatch.setattr(mmap, "mmap", no_mapping)
+        else:
+            monkeypatch.setattr(rfnet, "_abcd", failing)
+        assert main(["--config", str(config_file), "--out", str(out), "rf"]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"  # one line: no traceback
+        assert list(out.glob("*.tmp")) == []
         assert _tree(out) == before
         assert_no_child()
 

@@ -602,9 +602,18 @@ def test_failing_sweep_point_names_its_sweep_and_writes_nothing(raw, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_auto_core_closed_by_a_coating_names_the_coatings(raw, tmp_path):
+    # The "auto" core derives from the coatings, so the message names them.
+    raw["pin_stack"]["coatings"][1][1] = 0.5
+    code, err = _run_cli(raw, "impedance", tmp_path)
+    assert code == 1
+    assert "pin_stack.coatings" in err, err
+
+
 @pytest.mark.parametrize("core, stop, message", [
     ("auto", "100um", "at layout.hole_diameter = 0.00012: pin_stack.core_diameter: auto-derived "
-     "core is not positive; check hole diameter and clearance"),
+     "core is not positive; check layout.hole_diameter, interposer.pin_hole_clearance and "
+     "pin_stack.coatings"),
     ("200um", "200um", "at layout.hole_diameter = 0.00022: pin_stack: the finished pin "
      "(0.000222 m) must be narrower than layout.hole_diameter (0.00022 m)"),
 ], ids=["auto-core-not-positive", "pin-as-wide-as-the-hole"])

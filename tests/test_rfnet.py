@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import math
+import mmap
 import os
 
 import numpy as np
@@ -43,6 +45,16 @@ def assert_no_child():
 
 # The pin and the feed of every reported path sit in an eps_r = 3 fill.
 EPS = {"pin_eps_eff": 3.0, "feed_eps_eff": 3.0}
+
+
+def lossy_chain() -> list:
+    """The 16-segment stress path with a series R > 0 first and one in the middle."""
+    rf = RfSettings(points=2 * _PASS + 3, feed_length=0.03, taper_length=0.01,
+                    taper_segments=16, bond_inductance=45e-12)
+    chain = build_signal_path(rf, 0.02, 14.0, **EPS)
+    chain.insert(len(chain) // 2, SeriesImpedance(0.5, 20e-12))
+    chain.insert(0, SeriesImpedance(2.0, 0.0))
+    return chain
 
 
 def quarter_wave_frequency(line: UniformLine) -> float:
@@ -202,12 +214,8 @@ class TestCascade:
 
     def test_lossy_elements_across_passes(self):
         # A series R > 0 first and one in the middle, over two passes and a part.
-        rf = RfSettings(points=2 * _PASS + 3, feed_length=0.03, taper_length=0.01,
-                        taper_segments=16, bond_inductance=45e-12)
-        chain = build_signal_path(rf, 0.02, 14.0, **EPS)
-        chain.insert(len(chain) // 2, SeriesImpedance(0.5, 20e-12))
-        chain.insert(0, SeriesImpedance(2.0, 0.0))
-        self.assert_equals_complex_product(chain, np.linspace(*rf.band, rf.points), 50.0)
+        n = 2 * _PASS + 3
+        self.assert_equals_complex_product(lossy_chain(), np.linspace(0.0, 10e9, n), 50.0)
 
     def test_frequencies_must_increase(self):
         with pytest.raises(ValueError):
@@ -236,6 +244,98 @@ class TestCascade:
             cascade(chain, [1e9, 2e9])
         with pytest.raises(TypeError, match="not a network element"):  # the oracle agrees
             unshared_cascade(chain, np.array([1e9, 2e9]))
+
+
+class TestForkedCascade:
+    """Over more than one pass, a forked child multiplies the later passes."""
+
+    STRESS = build_signal_path(RfSettings(feed_length=0.03, taper_length=0.01, taper_segments=64,
+                                          bond_inductance=45e-12), 0.02, 14.0, **EPS)
+
+    @staticmethod
+    def counting_forks(monkeypatch) -> list:
+        """The pids `os.fork` returns from now on, in this process."""
+        real, pids = os.fork, []
+
+        def fork():
+            pid = real()
+            pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @pytest.mark.parametrize("n", [2 * _PASS, 2 * _PASS + 3, 100_000])
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_the_split_equals_the_serial_cascade(self, monkeypatch, n, lossy):
+        # A, B, C and D as bytes, so the signs of their zeros must match too.
+        chain, freqs = (lossy_chain() if lossy else self.STRESS), np.linspace(0.0, 10e9, n)
+        forks = self.counting_forks(monkeypatch)
+        forked = cascade(chain, freqs, z_load=75.0)
+        assert len(forks) == 1
+        assert_no_child()
+        monkeypatch.delattr(os, "fork")
+        serial = cascade(chain, freqs, z_load=75.0)
+        for name in "ABCD":
+            assert getattr(forked, name).tobytes() == getattr(serial, name).tobytes()
+
+    @pytest.mark.parametrize("n, passes", [(2 * _PASS, 1), (2 * _PASS + 3, 1), (100_000, 6)])
+    def test_the_parent_multiplies_the_earlier_passes(self, monkeypatch, n, passes):
+        # The split falls on a pass boundary, so every point keeps its place in its pass.
+        parent, real, grids = os.getpid(), rfnet._multiply, []
+
+        def multiply(elements, f, out):
+            if os.getpid() == parent:
+                grids.append(f.size)
+            real(elements, f, out)
+
+        monkeypatch.setattr(rfnet, "_multiply", multiply)
+        cascade(self.STRESS, np.linspace(0.0, 10e9, n))
+        assert grids == [passes * _PASS]
+
+    @pytest.mark.parametrize("error, raised, message", [
+        (ValueError, OSError, "the child multiplying the RF cascade failed with status 1"),
+        (MemoryError, MemoryError, "the child multiplying the RF cascade ran out of memory"),
+    ], ids=["other", "memory"])
+    def test_a_failed_child_is_raised_here(self, monkeypatch, error, raised, message):
+        parent, real = os.getpid(), rfnet._abcd
+
+        def failing_in_the_child(e, f, phases):
+            if os.getpid() != parent:
+                raise error("no pass")
+            return real(e, f, phases)
+
+        monkeypatch.setattr(rfnet, "_abcd", failing_in_the_child)
+        with pytest.raises(raised, match=message):
+            cascade(self.STRESS, np.linspace(0.0, 10e9, 2 * _PASS + 3))
+        assert_no_child()
+
+    def test_an_error_in_the_parent_kills_the_child(self, monkeypatch):
+        parent, real = os.getpid(), rfnet._abcd
+
+        def failing_in_the_parent(e, f, phases):
+            if os.getpid() == parent:
+                raise MemoryError
+            return real(e, f, phases)
+
+        monkeypatch.setattr(rfnet, "_abcd", failing_in_the_parent)
+        forks = self.counting_forks(monkeypatch)
+        with pytest.raises(MemoryError):
+            cascade(self.STRESS, np.linspace(0.0, 10e9, 100_000))
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("code", [errno.ENOMEM, errno.EACCES], ids=["ENOMEM", "other"])
+    def test_no_shared_mapping_forks_nothing(self, monkeypatch, code):
+        # ENOMEM is a failed allocation like any other; other errors pass through.
+        def no_mapping(*args):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(mmap, "mmap", no_mapping)
+        forks = self.counting_forks(monkeypatch)
+        with pytest.raises((MemoryError, OSError)) as caught:
+            cascade(self.STRESS, np.linspace(0.0, 10e9, 2 * _PASS))
+        assert isinstance(caught.value, MemoryError) == (code == errno.ENOMEM)
+        assert forks == []
 
 
 class TestSParameters:
