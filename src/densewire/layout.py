@@ -356,48 +356,56 @@ def _svg_um(x: float) -> str:
 def layout_to_svg(layout: InterposerLayout, cfg: LayoutConfig) -> str:
     """Top view, 1 SVG user unit = 1 um; y points up (flipped via transform).
 
-    Each site kind is one <symbol> in <defs>, placed at every site with
-    <use>: the pad and its coaxial hole as "site", the solder ball as "ball".
+    The array is one cell repeated, so it is drawn with fills, and the text
+    does not grow with the side count.  Three <pattern>s in <defs> tile it:
+    "site" (the pad and its coaxial hole) and "ball" (the solder ball) are
+    one pitch square with the site at the tile's center, "stripe" is one
+    pitch tall and holds a row's channel and ribbon cable.  One <rect> per
+    pattern fills the n x n array.  A pattern clips its content to its
+    tile, so anything wider than the pitch is drawn clipped to it.
     """
     check_export_size(layout)
-    half = (layout.side_count - 1) / 2.0 * layout.pitch + layout.pitch
+    n, p, w = layout.side_count, layout.pitch, layout.channel_width
+    half = (n - 1) / 2.0 * p + p
     lo, size = -half * 1e6, 2 * half * 1e6
-    w = layout.channel_width
-    parts = [
+    first = layout.offsets[0]  # the first site's x and y
+    origin = _svg_um(first - p / 2)  # a tile's origin is its site minus p/2
+    tile, mid, span = _svg_um(p), _svg_um(p / 2), _svg_um(n * p)
+    # Each pattern: id, tile origin x and y, tile width, fill width, content.
+    patterns = (
+        # The line starts at tile x = 0, so every row's dashes start at `lo`.
+        ("stripe", f"{lo:.3f}", origin, f"{size:.3f}", f"{size:.3f}",
+         f'<rect class="channel" x="0" y="{_svg_um(p / 2 - w / 2)}" '
+         f'width="{size:.3f}" height="{_svg_um(w)}" '
+         'fill="#dce6f0" stroke="#8899aa" stroke-width="1"/>'
+         f'<line class="ribbon" x1="0" y1="{mid}" x2="{size:.3f}" y2="{mid}" '
+         'stroke="#aabbcc" stroke-width="2" stroke-dasharray="8 8"/>'),
+        ("site", origin, origin, tile, span,
+         f'<circle class="pad" cx="{mid}" cy="{mid}" '
+         f'r="{_svg_um(cfg.pad_diameter / 2)}" fill="#c0c0c0"/>'
+         f'<circle class="hole" cx="{mid}" cy="{mid}" r="{_svg_um(cfg.hole_diameter / 2)}" '
+         'fill="none" stroke="#334455" stroke-width="2"/>'),
+        ("ball", origin, _svg_um(first + w / 2 - p / 2), tile, span,
+         f'<circle class="ball" cx="{mid}" cy="{mid}" '
+         f'r="{_svg_um(cfg.solder_ball_diameter / 2)}" fill="#8090a0"/>'),
+    )
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" xmlns:xlink="http://www.w3.org/1999/xlink" '
+        '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{lo:.3f} {lo:.3f} {size:.3f} {size:.3f}" '
         f'width="{size / 1000:.3f}mm" height="{size / 1000:.3f}mm">',
         "<defs>",
-        '<symbol id="site" overflow="visible">'
-        f'<circle class="pad" r="{_svg_um(cfg.pad_diameter / 2)}" fill="#c0c0c0"/>'
-        f'<circle class="hole" r="{_svg_um(cfg.hole_diameter / 2)}" fill="none" '
-        'stroke="#334455" stroke-width="2"/></symbol>',
-        '<symbol id="ball" overflow="visible">'
-        f'<circle class="ball" r="{_svg_um(cfg.solder_ball_diameter / 2)}" fill="#8090a0"/>'
-        "</symbol>",
+        *(f'<pattern id="{name}" patternUnits="userSpaceOnUse" x="{x}" y="{y}" '
+          f'width="{width}" height="{tile}">{content}</pattern>'
+          for name, x, y, width, _, content in patterns),
         "</defs>",
         '<g transform="scale(1,-1)">',
-    ]
-    for y in layout.offsets:
-        parts.append(
-            f'<rect class="channel" x="{lo:.3f}" y="{_svg_um(y - w / 2)}" '
-            f'width="{size:.3f}" height="{_svg_um(w)}" '
-            f'fill="#dce6f0" stroke="#8899aa" stroke-width="1"/>'
-        )
-    for y in layout.offsets:
-        parts.append(
-            f'<line class="ribbon" x1="{lo:.3f}" y1="{_svg_um(y)}" x2="{lo + size:.3f}" '
-            f'y2="{_svg_um(y)}" stroke="#aabbcc" stroke-width="2" stroke-dasharray="8 8"/>'
-        )
-    for symbol, sites in (("site", layout.pad_centers), ("ball", layout.solder_ball_sites)):
-        xs = [_svg_um(x) for x in sites.xs]
-        head = f'<use xlink:href="#{symbol}" x="'
-        for y in map(_svg_um, sites.ys):
-            tail = f'" y="{y}"/>'
-            parts.append(head + (tail + "\n" + head).join(xs) + tail)
-    parts += ["</g>", "</svg>", ""]
-    return "\n".join(parts)
+        *(f'<rect fill="url(#{name})" x="{x}" y="{y}" width="{width}" height="{span}"/>'
+          for name, x, y, _, width, _ in patterns),
+        "</g>",
+        "</svg>",
+        "",
+    ])
 
 
 def export_layout(layout: InterposerLayout, fmt: str, cfg: LayoutConfig) -> str:

@@ -5,9 +5,10 @@ the AGM, fixed-step Simpson instead of the closed-form power-law integral,
 closed-form reflection formulas instead of the ABCD cascade, a complex
 chain product with every element's matrix computed on its own instead of
 the cascade's shared line phases and real arithmetic, bisection instead
-of algebraic solutions, one `json.dumps` or f-string per site
-instead of the layout writers' per-axis text, and one list of RF rows
-joined once instead of the RF writers' blocks.
+of algebraic solutions, one `json.dumps` of the whole layout document
+instead of the JSON writer's per-axis text, the SVG's fills expanded
+tile by tile instead of read as patterns, and one list of RF rows joined
+once instead of the RF writers' blocks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import cmath
 import dataclasses
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -130,12 +132,32 @@ def columnar_layout_json(layout, cfg) -> str:
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-def svg_use_lines(layout) -> list[str]:
-    """The SVG's <use> lines, one f-string per site: pads ("site") row by
-    row with x fastest, then the solder balls ("ball")."""
-    return [f'<use xlink:href="#{symbol}" x="{x * 1e6:.3f}" y="{y * 1e6:.3f}"/>'
-            for symbol, sites in (("site", layout.pad_centers), ("ball", layout.solder_ball_sites))
-            for x, y in sites]
+# Where an SVG shape is placed: a circle's center, a rect's corner, a line's start.
+_SVG_ANCHOR = {"circle": ("cx", "cy"), "rect": ("x", "y"), "line": ("x1", "y1")}
+
+
+def svg_fill_shapes(svg: str) -> dict[str, list[tuple[float, float]]]:
+    """Where the SVG's fills draw each shape, by class, in user units (um):
+    each `<rect>` filled with a `<pattern>` is cut into the whole tiles it
+    covers, row by row, and each tile adds its copy of the pattern's shapes."""
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    root = ET.fromstring(svg)
+    patterns = {p.get("id"): p for p in root.iter(f"{svg_ns}pattern")}
+    shapes: dict[str, list[tuple[float, float]]] = {}
+    for rect in root.iter(f"{svg_ns}rect"):
+        ref = rect.get("fill", "")
+        if not ref.startswith("url(#"):
+            continue
+        pattern = patterns[ref[len("url(#"):-1]]
+        px, py, tw, th = (float(pattern.get(k)) for k in ("x", "y", "width", "height"))
+        rx, ry, rw, rh = (float(rect.get(k)) for k in ("x", "y", "width", "height"))
+        cols = range(round((rx - px) / tw), round((rx + rw - px) / tw))
+        rows = range(round((ry - py) / th), round((ry + rh - py) / th))
+        for shape in pattern:
+            sx, sy = (float(shape.get(k)) for k in _SVG_ANCHOR[shape.tag[len(svg_ns):]])
+            shapes.setdefault(shape.get("class"), []).extend(
+                (px + i * tw + sx, py + j * th + sy) for j in rows for i in cols)
+    return shapes
 
 
 def _rf_rows(fmt: str, columns) -> list[str]:

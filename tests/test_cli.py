@@ -6,6 +6,7 @@ import mmap
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
@@ -107,6 +108,22 @@ class TestSubcommands:
         assert bonding["force_array_n"] == pytest.approx([125.66, 251.33], abs=0.005)
         assert ("bonding: 0.314-0.628 N per pad, 126-251 N for 400 pads at 10-20 N/mm2\n"
                 in capsys.readouterr().out)
+
+    def test_layout_draws_a_hole_wider_than_the_pitch_clipped(self, tmp_path, config_file):
+        # The 600 um hole overlaps its neighbours at the 500 um pitch (R1); the
+        # site pattern still tiles one pitch, and clips the hole to its tile.
+        raw = json.loads(config_file.read_text())
+        raw["layout"]["hole_diameter"] = "600um"
+        config_file.write_text(json.dumps(raw))
+        code, out = run_cli(["--config", str(config_file), "layout"], tmp_path)
+        assert code == 0
+        svg = "{http://www.w3.org/2000/svg}"
+        site = next(e for e in ET.parse(out / "layout.svg").getroot().iter(f"{svg}pattern")
+                    if e.get("id") == "site")
+        assert (site.get("width"), site.get("height")) == ("500.000", "500.000")
+        assert [e.get("r") for e in site if e.get("class") == "hole"] == ["300.000"]
+        findings = json.loads((out / "drc.json").read_text())["analysis"]["findings"]
+        assert ("R1", "error") in [(f["rule"], f["severity"]) for f in findings]
 
     def test_layout_over_the_size_limit_prints_no_result(self, tmp_path, config_file, capsys):
         raw = json.loads(config_file.read_text())

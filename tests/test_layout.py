@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -23,7 +24,7 @@ from densewire.layout import (
     run_drc,
 )
 from densewire.tlines import PinStack
-from oracles import columnar_layout_json, svg_use_lines
+from oracles import columnar_layout_json, svg_fill_shapes
 from test_config import _BAD_VALUES
 
 NOMINAL = LayoutConfig(
@@ -44,7 +45,6 @@ NOMINAL_PIN = PinStack(178e-6, (("TiN", 1e-6), ("In", 10e-6)))
 
 
 SVG = "{http://www.w3.org/2000/svg}"
-XLINK_HREF = "{http://www.w3.org/1999/xlink}href"
 
 
 def mutate(**kwargs) -> LayoutConfig:
@@ -252,46 +252,40 @@ class TestExports:
         layout = generate_layout(NOMINAL)
         assert layout_to_json(layout, NOMINAL) == layout_to_json(layout, NOMINAL)
 
-    @pytest.mark.parametrize("writer", [layout_to_json, layout_to_svg])
+    @pytest.mark.parametrize("writer", [layout_to_json])
     def test_peak_memory_is_about_twice_the_text(self, writer, traced_peak):
         cfg = mutate(array_side_count=200)
         layout = generate_layout(cfg)
         text, peak = traced_peak(writer, layout, cfg)
         assert peak <= 2.25 * len(text)
 
+    def test_svg_does_not_grow_with_the_side(self, traced_peak):
+        # Only the numbers' digits differ, and a 1000 x 1000 grid (the last
+        # `peak`) costs a few KB of memory, not a text per site.
+        texts = {}
+        for side in (1, 20, 400, 1000):
+            cfg = mutate(array_side_count=side)
+            texts[side], peak = traced_peak(layout_to_svg, generate_layout(cfg), cfg)
+        assert max(len(t.encode()) for t in texts.values()) <= 4096
+        assert len({re.sub(r"-?[0-9.]+", "#", t) for t in texts.values()}) == 1
+        assert peak < 64 * 1024
+
     def test_svg_unit_array_single_hole(self):
         cfg = mutate(array_side_count=1)
         svg = export_layout(generate_layout(cfg), "svg", cfg)
+        assert svg_fill_shapes(svg)["hole"] == [(0.0, 0.0)]
         root = ET.fromstring(svg)
-        holes = [e for e in root.iter() if e.get("class") == "hole"]
-        assert len(holes) == 1
-        uses = [e.get(XLINK_HREF) for e in root.iter(f"{SVG}use")]
-        assert uses == ["#site", "#ball"]
+        tiles = {p.get("id"): p.get("height") for p in root.iter(f"{SVG}pattern")}
+        assert {r.get("height") for r in root.iter(f"{SVG}rect")
+                if r.get("fill", "").startswith("url(")} == {tiles["site"]} == {"500.000"}
 
     def test_svg_counts_match_layout(self):
         svg = export_layout(generate_layout(NOMINAL), "svg", NOMINAL)
-        root = ET.fromstring(svg)  # well-formed XML or this raises
-        uses = [e.get(XLINK_HREF) for e in root.iter(f"{SVG}use")]
-        assert uses.count("#site") == 9
-        assert uses.count("#ball") == 9
-        assert len(uses) == 18
-        classes = [e.get("class") for e in root.iter() if e.get("class")]
-        assert classes.count("channel") == 3
-        assert classes.count("ribbon") == 3
-
-    def test_svg_symbols_resolve(self):
-        root = ET.fromstring(export_layout(generate_layout(NOMINAL), "svg", NOMINAL))
-        symbols = {s.get("id"): s for s in root.iter(f"{SVG}symbol")}
-        assert sorted(symbols) == ["ball", "site"]
-        assert [c.get("class") for c in symbols["site"]] == ["pad", "hole"]
-        assert [c.get("class") for c in symbols["ball"]] == ["ball"]
-        assert all(s.get("overflow") == "visible" for s in symbols.values())
-        uses = list(root.iter(f"{SVG}use"))
-        sites = sorted((float(u.get("x")), float(u.get("y"))) for u in uses
-                       if u.get(XLINK_HREF) == "#site")
-        layout = generate_layout(NOMINAL)
-        assert sites == sorted((round(x * 1e6, 3), round(y * 1e6, 3))
-                               for x, y in layout.pad_centers)
+        counts = {name: len(at) for name, at in svg_fill_shapes(svg).items()}
+        assert counts == {"channel": 3, "ribbon": 3, "pad": 9, "hole": 9, "ball": 9}
+        root = ET.fromstring(svg)
+        assert not any(e.tag in (f"{SVG}use", f"{SVG}symbol") for e in root.iter())
+        assert "xlink" not in svg
 
     def test_json_is_compact_and_columnar(self):
         text = layout_to_json(generate_layout(NOMINAL), NOMINAL)
@@ -315,12 +309,56 @@ class TestExports:
         layout = generate_layout(cfg, annotations=annotations if annotated else ())
         assert layout_to_json(layout, cfg) == columnar_layout_json(layout, cfg)
 
-    @pytest.mark.parametrize("side", [1, 2, 3, 20])
-    def test_svg_use_lines_are_one_per_site(self, side):
+    @pytest.mark.parametrize("side", [1, 2, 3, 20, 401])
+    def test_svg_patterns_tile_the_grid(self, side):
         cfg = mutate(array_side_count=side)
         layout = generate_layout(cfg)
-        lines = export_layout(layout, "svg", cfg).splitlines()
-        assert [line for line in lines if line.startswith("<use")] == svg_use_lines(layout)
+        root = ET.fromstring(layout_to_svg(layout, cfg))
+        p, w, first = cfg.qubit_pitch * 1e6, cfg.channel_width * 1e6, layout.offsets[0] * 1e6
+        size = (side + 1) * p  # the view box: the array and a pitch of margin
+        patterns = {e.get("id"): e for e in root.iter(f"{SVG}pattern")}
+        fills = {e.get("fill"): e for e in root.iter(f"{SVG}rect")
+                 if e.get("fill", "").startswith("url(")}
+        assert {e.get("patternUnits") for e in patterns.values()} == {"userSpaceOnUse"}
+        assert sorted(fills) == [f"url(#{name})" for name in sorted(patterns)]
+        # name: the tile's origin (its first site minus p/2), the tile's
+        # width and the fill's width; every tile is one pitch tall
+        want = {"site": ((first - p / 2, first - p / 2), p, side * p),
+                "ball": ((first - p / 2, first + w / 2 - p / 2), p, side * p),
+                "stripe": ((-size / 2, first - p / 2), size, size)}
+        assert sorted(want) == sorted(patterns)
+        for name, ((x, y), width, fill_width) in want.items():
+            tile, fill = patterns[name], fills[f"url(#{name})"]
+            got = [float(tile.get(k)) for k in ("x", "y", "width", "height")]
+            assert got == pytest.approx([x, y, width, p], abs=1e-3)
+            assert [fill.get(k) for k in ("x", "y")] == [tile.get(k) for k in ("x", "y")]
+            got = [float(fill.get(k)) for k in ("width", "height")]
+            assert got == pytest.approx([fill_width, side * p], abs=1e-3)
+        stripe = [(e.tag, e.attrib) for e in patterns["stripe"]]
+        assert stripe == [
+            (f"{SVG}rect", {"class": "channel", "x": "0", "y": f"{p / 2 - w / 2:.3f}",
+                            "width": f"{size:.3f}", "height": f"{w:.3f}", "fill": "#dce6f0",
+                            "stroke": "#8899aa", "stroke-width": "1"}),
+            (f"{SVG}line", {"class": "ribbon", "x1": "0", "y1": f"{p / 2:.3f}",
+                            "x2": f"{size:.3f}", "y2": f"{p / 2:.3f}", "stroke": "#aabbcc",
+                            "stroke-width": "2", "stroke-dasharray": "8 8"})]
+        for name, classes in (("site", ["pad", "hole"]), ("ball", ["ball"])):
+            assert [e.get("class") for e in patterns[name]] == classes
+            assert {(e.get("cx"), e.get("cy")) for e in patterns[name]} == {(f"{p / 2:.3f}",) * 2}
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 20, 401])
+    def test_svg_fills_draw_one_shape_per_site(self, side):
+        cfg = mutate(array_side_count=side)
+        layout = generate_layout(cfg)
+        shapes = svg_fill_shapes(layout_to_svg(layout, cfg))
+        lo = -(side + 1) / 2 * cfg.qubit_pitch
+        rows = np.asarray([(lo, y) for y in layout.offsets])
+        want = {"pad": np.asarray(layout.pad_centers), "hole": np.asarray(layout.hole_centers),
+                "ball": np.asarray(layout.solder_ball_sites), "ribbon": rows,
+                "channel": rows - (0.0, cfg.channel_width / 2)}
+        assert sorted(shapes) == sorted(want)
+        for name, sites in want.items():
+            np.testing.assert_allclose(shapes[name], sites * 1e6, rtol=0, atol=2e-3, err_msg=name)
 
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormat):
