@@ -14,9 +14,9 @@ while the chain is lossless and complex from a series R > 0 on.
 The cascade runs in fixed passes of frequencies, and the response's CSV and
 Touchstone texts are formatted in fixed blocks of rows.  Over more than one
 pass, a forked child multiplies the later half of the passes, and over more
-than one block, another formats the later half of the blocks, each while
-this process does the earlier half.  Each child is reaped before the
-function that forked it returns (see `_forked`).
+than one block, another formats the later half of the blocks, each into a
+file that this process reads back once it has done the earlier half.  Each
+child is reaped before the function that forked it returns (see `_forked`).
 
 This is the one module that imports numpy, and only the `rf` subcommand
 imports it.  `RfSettings` is defined with the config reader.
@@ -24,7 +24,6 @@ imports it.  `RfSettings` is defined with the config reader.
 
 from __future__ import annotations
 
-import errno
 import math
 import os
 import signal
@@ -189,11 +188,10 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
     references are checked before the first product.
 
     Over more than one pass, a forked child multiplies the later half of
-    the passes, `m - m // 2` of `m`, into an anonymous shared mapping while
-    this process multiplies the rest.  Every point is multiplied in the
-    same position within its pass either way, so the bytes are the same.
-    The child is reaped and its vectors copied into the network before the
-    mapping is closed and the network returned.
+    the passes, `m - m // 2` of `m`, and writes them to a file while this
+    process multiplies the rest; the network reads them back once the
+    child is reaped.  Every point is multiplied in the same position
+    within its pass either way, so the bytes are the same.
     """
     elements = list(elements)
     if not elements:
@@ -207,67 +205,72 @@ def cascade(elements, frequencies, z_src: float = 50.0, z_load: float = 50.0) ->
     if not (lo and hasattr(os, "fork")):
         _multiply(elements, f, out)
         return net
-    import mmap  # a shared library, loaded only by a cascade that forks
-    try:
-        shared = mmap.mmap(-1, 4 * (f.size - lo) * np.dtype(complex).itemsize)
-    except OSError as e:
-        if e.errno != errno.ENOMEM:
-            raise
-        raise MemoryError("no shared memory for the later passes of the RF cascade") from None
-    with shared:
-        def later():  # the child's A, B, C and D, as views of the mapping
-            return np.frombuffer(shared, complex).reshape(4, -1)
+    later = [v[lo:] for v in out]
 
-        with _forked(lambda: _multiply(elements, f[lo:], later()), "multiplying the RF cascade"):
-            _multiply(elements, f[:lo], [v[:lo] for v in out])
-        net.A[lo:], net.B[lo:], net.C[lo:], net.D[lo:] = later()  # no view outlives the copy
+    def multiply_later(file):  # into the child's own copy of the later slices
+        _multiply(elements, f[lo:], later)
+        file.writelines(later)
+
+    with _forked(multiply_later, "multiplying the RF cascade") as reaped:
+        _multiply(elements, f[:lo], [v[:lo] for v in out])
+        file = reaped()
+        for v in later:
+            file.readinto(v)
     return net
 
 
 # Work split between this process and a forked child.  Forking is safe
 # although numpy runs an OpenBLAS thread: the child's inputs exist before the
 # fork, and it enters nothing that thread could hold.  The cascade child
-# runs only elementwise ufuncs (cos, sin, multiply, add), never BLAS.  The
-# text child only slices columns, calls `tolist`, formats with `%` and
-# writes.  The child never returns: it leaves by `os._exit`, without running
-# the parent's cleanup or flushing its buffers, with a status that tells a
-# failed allocation from any other failure.
+# runs only elementwise ufuncs (cos, sin, multiply, add), never BLAS, and
+# writes.  The text child only slices columns, calls `tolist`, formats with
+# `%` and writes.  The child never returns: it leaves by `os._exit`, without
+# running the parent's cleanup or flushing its buffers, with a status that
+# tells a failed allocation from any other failure.
 _CHILD_FAILED, _CHILD_OUT_OF_MEMORY = 1, 3
 
 
 @contextmanager
 def _forked(work, what: str):
-    """Run `work()` in a forked child while the body of the `with` runs here.
+    """Run `work(file)` in a forked child, `file` being an unlinked temporary
+    file that the child flushes, while the body of the `with` runs here.
 
-    When the body ends, the child is waited for, and its failure raised
-    here: `MemoryError` for a failed allocation, `OSError` for any other.
-    Every other way out of the body kills the child and reaps it.
+    The body calls `reaped()` to wait for the child, raise its failure here
+    (`MemoryError` for a failed allocation, `OSError` for any other) and get
+    `file` rewound.  Any other way out of the body kills and reaps the child.
     """
-    with warnings.catch_warnings():  # Python >= 3.12 warns of the OpenBLAS thread; see above
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = _CHILD_FAILED
+    with tempfile.TemporaryFile() as file:
+        with warnings.catch_warnings():  # Python >= 3.12 warns of the OpenBLAS thread; see above
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = _CHILD_FAILED
+            try:
+                work(file)
+                file.flush()
+                status = 0
+            except MemoryError:
+                status = _CHILD_OUT_OF_MEMORY
+            finally:
+                os._exit(status)
+
+        def reaped():
+            nonlocal pid
+            status, pid = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), 0
+            if status == _CHILD_OUT_OF_MEMORY:
+                raise MemoryError(f"the child {what} ran out of memory")
+            if status:
+                raise OSError(f"the child {what} failed with status {status}")
+            file.seek(0)
+            return file
+
         try:
-            work()
-            status = 0
-        except MemoryError:
-            status = _CHILD_OUT_OF_MEMORY
+            yield reaped
         finally:
-            os._exit(status)
-    try:
-        yield
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = 0
-    finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if status == _CHILD_OUT_OF_MEMORY:
-        raise MemoryError(f"the child {what} ran out of memory")
-    if status:
-        raise OSError(f"the child {what} failed with status {status}")
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -424,10 +427,9 @@ def _block(columns, part: slice) -> tuple[str, str]:
 
 # A response of more than one block is formatted in two processes: the
 # parent formats the first half of the blocks and yields them as it goes,
-# while a forked child (`_forked`) formats the rest into an unlinked
-# temporary file, one frame per block: the two encoded lengths, then the CSV
-# and the Touchstone bytes.  The parent then reaps the child and yields its
-# frames.
+# while a forked child (`_forked`) formats the rest into its file, one frame
+# per block: the two encoded lengths, then the CSV and the Touchstone bytes.
+# The parent then reaps the child and yields its frames.
 _FRAME = struct.Struct("<QQ")
 
 
@@ -438,19 +440,17 @@ def _format_into(file, columns, starts) -> None:
         file.write(_FRAME.pack(len(csv), len(s2p)))
         file.write(csv)
         file.write(s2p)
-    file.flush()
 
 
 def _forked_blocks(columns, starts):
     """The (CSV, Touchstone) pairs of the blocks at `starts`, the later half
-    formatted by a forked child.  Every way out of the generator reaps the
-    child; one that leaves before the child is waited for kills it first."""
+    formatted by a forked child, which every way out of the generator reaps."""
     half = (len(starts) + 1) // 2
-    with tempfile.TemporaryFile() as file:
-        with _forked(lambda: _format_into(file, columns, starts[half:]), "formatting the RF text"):
-            for i in starts[:half]:
-                yield _block(columns, slice(i, i + _BLOCK))
-        file.seek(0)
+    with _forked(lambda file: _format_into(file, columns, starts[half:]),
+                 "formatting the RF text") as reaped:
+        for i in starts[:half]:
+            yield _block(columns, slice(i, i + _BLOCK))
+        file = reaped()
         for _ in starts[half:]:
             n_csv, n_s2p = _FRAME.unpack(file.read(_FRAME.size))
             yield file.read(n_csv).decode(), file.read(n_s2p).decode()

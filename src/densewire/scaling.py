@@ -207,9 +207,8 @@ def vertical_scaling_report(spec: QubitArraySpec, arch: WiringArchitecture) -> S
     effective_pitch = arch.wire_pitch * math.sqrt(arch.wires_per_qubit)
     if not check_pitch_condition(effective_pitch, spec.qubit_pitch):
         raise PitchConditionViolated(
-            f"wire pitch {arch.wire_pitch} m (x sqrt({arch.wires_per_qubit}) wires/qubit) "
-            f"exceeds qubit pitch {spec.qubit_pitch} m"
-        )
+            f"wire pitch {arch.wire_pitch * 1e6:.6g} um (x sqrt({arch.wires_per_qubit:.6g}) "
+            f"wires/qubit) exceeds qubit pitch {spec.qubit_pitch * 1e6:.6g} um")
     exact_nq = snap_count((spec.chip_side / spec.qubit_pitch) ** 2)
     exact_nw = _wire_count(_squared(spec.chip_side / arch.wire_pitch))
     return ScalingReport(

@@ -2,10 +2,10 @@ import csv
 import errno
 import json
 import math
-import mmap
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
@@ -17,7 +17,7 @@ from densewire.cli import _write_atomic, main
 from densewire.config import parse_design_config
 from densewire.materials import default_catalog
 from densewire.thermal import controller_budget
-from test_rfnet import assert_no_child
+from test_rfnet import assert_no_child, counting_forks
 
 
 def _raise_disk_full(text):
@@ -291,6 +291,15 @@ class TestErrors:
         assert code == 2
         assert "pitch" in capsys.readouterr().err.lower()
 
+    def test_pitch_violation_is_printed_in_um(self, tmp_path, config_file, capsys):
+        doc = json.loads(config_file.read_text())
+        doc["wiring"][1]["wires_per_qubit"] = 2  # 400 um * sqrt(2) > 500 um
+        config_file.write_text(json.dumps(doc))
+        code = main(["--config", str(config_file), "--out", str(tmp_path / "o"), "scale"])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: wire pitch 400 um (x sqrt(2) wires/qubit) "
+                                           "exceeds qubit pitch 500 um\n")
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
         out = tmp_path / "o"
         (out / "layout.json").mkdir(parents=True)  # the rename onto it fails
@@ -357,8 +366,8 @@ class TestErrors:
         ("child", MemoryError, 1, "rf.points: 16387 frequency points do not fit in memory"),
         ("child", ValueError, 2, "the child multiplying the RF cascade failed with status 1"),
         ("parent", MemoryError, 1, "rf.points: 16387 frequency points do not fit in memory"),
-        ("mmap", None, 1, "rf.points: 16387 frequency points do not fit in memory"),
-    ], ids=["child-memory", "child-other", "parent-memory", "mmap-enomem"])
+        ("temp-file", None, 2, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
+    ], ids=["child-memory", "child-other", "parent-memory", "no-temp-file"])
     def test_failed_cascade_split_exits_as_the_serial_path(self, tmp_path, config_file,
                                                           monkeypatch, capsys, where, error,
                                                           code, message):
@@ -377,14 +386,16 @@ class TestErrors:
                 raise error("no pass")
             return real(e, f, phases)
 
-        def no_mapping(*args):
-            raise OSError(errno.ENOMEM, "no memory")
+        def no_temp_file(*args, **kwargs):  # the child's file cannot be made: nothing forks
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        if where == "mmap":
-            monkeypatch.setattr(mmap, "mmap", no_mapping)
+        if where == "temp-file":
+            monkeypatch.setattr(tempfile, "TemporaryFile", no_temp_file)
         else:
             monkeypatch.setattr(rfnet, "_abcd", failing)
+        forks = counting_forks(monkeypatch)
         assert main(["--config", str(config_file), "--out", str(out), "rf"]) == code
+        assert len(forks) == (where != "temp-file")  # the text is never formatted
         assert capsys.readouterr().err == f"error: {message}\n"  # one line: no traceback
         assert list(out.glob("*.tmp")) == []
         assert _tree(out) == before

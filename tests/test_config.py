@@ -6,14 +6,11 @@ import json
 import random
 import re
 import struct
-import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from densewire import config as config_module
 from densewire.cli import main
@@ -703,15 +700,65 @@ _BAD_VALUES = ["x", "", None, True, False, [], {}, -1, 0, 1, 0.5, 2.5, "-1um", "
 _FIELD_PATH = re.compile(r"error: (<root>|[A-Za-z_]\w*(\[\d+\])*(\.\w+(\[\d+\])*)*): ")
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(leaf=st.sampled_from(list(_leaves(_DEFAULT_RAW))), value=st.sampled_from(_BAD_VALUES),
-       command=st.sampled_from(["scale", "impedance", "rf", "budget", "sweep", "layout"]))
-def test_any_single_leaf_mutation_exits_cleanly(leaf, value, command):
-    with tempfile.TemporaryDirectory() as tmp:
-        code, err = _run_cli(_mutated(_DEFAULT_RAW, leaf, value), command, Path(tmp))
-    assert code in (0, 1, 2)
-    if code == 1:
-        assert _FIELD_PATH.match(err), err
+_COMMANDS = ("scale", "impedance", "rf", "budget", "sweep", "layout")
+
+
+def _every_optional_field(raw: dict) -> dict:
+    """`raw` with every optional field the built-in config leaves out set."""
+    raw = copy.deepcopy(raw)
+    raw["coax"] = {"inner_diameter": "200um", "outer_diameter": "300um", "eps_r": 3.0}
+    raw["cpw"] = _COVERED_CPW | {"cover_height": "50um"}
+    raw["stages"] = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
+                     {"name": "3K", "temperature": "3K", "cooling_power": "1W"},
+                     {"name": "10mK", "temperature": "10mK", "cooling_power": "20uW"}]
+    raw["interposer"]["eps_r"] = 3.0
+    raw["wiring"][1]["wires_per_qubit"] = 1.5
+    raw["thermal"]["controllers"][0]["power_per_qubit"] = "1uW"
+    raw["thermal"]["paths"].append(_WF_PATH | {"t_cold": "10mK", "count": 4, "scale": 2.0})
+    return raw
+
+
+def _names_the_leaf(err: str, raw: dict, leaf: tuple) -> bool:
+    """Whether an exit-1 message names the leaf at `leaf`, a section or list
+    that holds it, or a field that refers to it (a stage's name is referred
+    to by the controllers' and the paths' stages): as the field it is about,
+    or, for a field derived from the leaf, as one it asks to check."""
+    fields = {_field(leaf[:i]) for i in range(1, len(leaf) + 1)}
+    if leaf[0] == "stages" and leaf[-1] == "name":
+        fields |= {f"thermal.{key}[{i}].stage" for key in ("controllers", "paths")
+                   for i in range(len(raw["thermal"][key]))}
+    return _FIELD_PATH.match(err)[1] in fields or any(
+        re.search(rf"(?<![\w.]){re.escape(f)}(?![\w.\[])", err) for f in fields if "." in f)
+
+
+@pytest.mark.parametrize("base", [_DEFAULT_RAW, _every_optional_field(_DEFAULT_RAW)],
+                         ids=["built-in", "every-optional-field"])
+def test_every_leaf_mutation_exits_cleanly(base, catalog, tmp_path):
+    """Every leaf but a note, set to each bad value, through `scale` when the
+    config is rejected (every subcommand parses it first) and through every
+    subcommand otherwise."""
+    for command in _COMMANDS:
+        assert _run_cli(base, command, tmp_path)[0] == 0, command
+    problems = []
+    for leaf in _leaves(base):
+        if leaf[-1] == "notes":
+            continue
+        for value in _BAD_VALUES:
+            raw = _mutated(base, leaf, value)
+            try:
+                parse_design_config(raw, catalog)
+                commands = _COMMANDS
+            except ConfigInvalid:
+                commands = ("scale",)
+            for command in commands:
+                try:
+                    code, err = _run_cli(raw, command, tmp_path)
+                except Exception as exc:
+                    code, err = "traceback", repr(exc)
+                if code not in (0, 1, 2) or (code == 1 and not (
+                        _FIELD_PATH.match(err) and _names_the_leaf(err, base, leaf))):
+                    problems.append((_field(leaf), value, command, code, err))
+    assert not problems, problems
 
 
 # Each magnitude in the leaf's own unit and as a bare SI number.
@@ -743,7 +790,7 @@ def test_extreme_magnitudes_exit_cleanly(tmp_path):
                   [float(m) for m in _EXTREMES] + [m + unit[1] for m in _EXTREMES if unit])
         for value in values:
             raw = _mutated(_DEFAULT_RAW, leaf, value)
-            for command in ("scale", "impedance", "rf", "budget", "sweep", "layout"):
+            for command in _COMMANDS:
                 try:
                     code, err = _run_cli(raw, command, tmp_path)
                 except Exception as exc:

@@ -1,7 +1,5 @@
 import dataclasses
-import errno
 import math
-import mmap
 import os
 
 import numpy as np
@@ -41,6 +39,18 @@ def assert_no_child():
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch) -> list:
+    """The pids `os.fork` returns from now on, in this process."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 # The pin and the feed of every reported path sit in an eps_r = 3 fill.
@@ -252,24 +262,12 @@ class TestForkedCascade:
     STRESS = build_signal_path(RfSettings(feed_length=0.03, taper_length=0.01, taper_segments=64,
                                           bond_inductance=45e-12), 0.02, 14.0, **EPS)
 
-    @staticmethod
-    def counting_forks(monkeypatch) -> list:
-        """The pids `os.fork` returns from now on, in this process."""
-        real, pids = os.fork, []
-
-        def fork():
-            pid = real()
-            pids.append(pid)
-            return pid
-        monkeypatch.setattr(os, "fork", fork)
-        return pids
-
     @pytest.mark.parametrize("n", [2 * _PASS, 2 * _PASS + 3, 100_000])
     @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
     def test_the_split_equals_the_serial_cascade(self, monkeypatch, n, lossy):
         # A, B, C and D as bytes, so the signs of their zeros must match too.
         chain, freqs = (lossy_chain() if lossy else self.STRESS), np.linspace(0.0, 10e9, n)
-        forks = self.counting_forks(monkeypatch)
+        forks = counting_forks(monkeypatch)
         forked = cascade(chain, freqs, z_load=75.0)
         assert len(forks) == 1
         assert_no_child()
@@ -318,24 +316,11 @@ class TestForkedCascade:
             return real(e, f, phases)
 
         monkeypatch.setattr(rfnet, "_abcd", failing_in_the_parent)
-        forks = self.counting_forks(monkeypatch)
+        forks = counting_forks(monkeypatch)
         with pytest.raises(MemoryError):
             cascade(self.STRESS, np.linspace(0.0, 10e9, 100_000))
         assert len(forks) == 1
         assert_no_child()
-
-    @pytest.mark.parametrize("code", [errno.ENOMEM, errno.EACCES], ids=["ENOMEM", "other"])
-    def test_no_shared_mapping_forks_nothing(self, monkeypatch, code):
-        # ENOMEM is a failed allocation like any other; other errors pass through.
-        def no_mapping(*args):
-            raise OSError(code, os.strerror(code))
-
-        monkeypatch.setattr(mmap, "mmap", no_mapping)
-        forks = self.counting_forks(monkeypatch)
-        with pytest.raises((MemoryError, OSError)) as caught:
-            cascade(self.STRESS, np.linspace(0.0, 10e9, 2 * _PASS))
-        assert isinstance(caught.value, MemoryError) == (code == errno.ENOMEM)
-        assert forks == []
 
 
 class TestSParameters:
