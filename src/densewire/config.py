@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import units
 from .errors import ConfigInvalid
-from .layout import ANNOTATION, LAYOUT, Annotation, LayoutConfig
+from .layout import ANNOTATION, LAYOUT, Annotation, LayoutConfig, check_cables
 from .materials import MaterialCatalog, default_catalog
 from .scaling import BondWireGeometry, QubitArraySpec, WiringArchitecture, wire_pitch_from_bonds
 from .tlines import CoaxSpec, CpwSpec, PinStack, pin_outer_diameter
@@ -270,7 +270,10 @@ def _thermal(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
 
 
 def _annotations(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
-    return {"annotations": tuple(Annotation(**a) for a in doc.get("annotations", ()))}
+    """The annotations, each on a cable of the `built` layout."""
+    annotations = tuple(Annotation(**a) for a in doc.get("annotations", ()))
+    check_cables(annotations, built["layout"].array_side_count)
+    return {"annotations": annotations}
 
 
 # Every builder, keyed by the top-level sections it reads or whose fields
@@ -284,7 +287,7 @@ _BUILDERS = (
     (("cpw",), _cpw),
     (("rf",), _rf),
     (("stages", "thermal"), _thermal),
-    (("annotations",), _annotations),
+    (("annotations", "layout"), _annotations),
 )
 _ABSENT = object()
 

@@ -306,17 +306,47 @@ _GRID_IN_CONFIG = (("qubit_pitch", "pitch"), ("array_side_count", "side_count"),
                    ("channel_width", "channel_width"), ("channel_depth", "channel_depth"))
 
 
-def layout_from_json(text: str) -> InterposerLayout:
-    """Read a layout.json of format 2.
+def check_cables(annotations: Sequence[Annotation], side_count: int) -> None:
+    """Reject an annotation on a cable that an n x n layout does not have:
+    row i's cable is `cable-<i:03d>`, from cable-000 to cable-<n-1>."""
+    n = side_count
+    for i, a in enumerate(annotations):
+        try:
+            row = int(a.cable.removeprefix("cable-"))
+        except ValueError:  # no row number, or more digits than int() reads
+            row = -1
+        if not (0 <= row < n and a.cable == f"cable-{row:03d}"):
+            raise ConfigInvalid(f"annotations[{i}].cable", f"{a.cable!r} is not a cable of the "
+                                f"{n}x{n} layout, whose cables are cable-000 to cable-{n - 1:03d}")
 
-    Raises ConfigInvalid naming the field when the format is not 2, a field
-    is missing or mistyped, a `config` field that the `grid` section repeats
-    differs from it, or a coordinate column differs from the grid that the
-    `grid` section defines.  `config` is read through `LAYOUT`, as a design
-    config's `layout` section is, except that every field is required: the
-    writer writes them all.  The writer writes `grid` and `config` from the
-    same floats, so they are compared exactly.
-    """
+
+# The members `layout_to_json` writes before the site columns.
+_HEAD = section(annotations=listof(ANNOTATION), config=LAYOUT, format=raw, grid=raw)
+
+
+def _read_as_written(text: str) -> InterposerLayout | None:
+    """The layout if `text` is the text `layout_to_json` writes for it, else None.
+
+    Only the members before `pads` are parsed.  The layout and its config
+    are built from `config` and `annotations`, and the writer's text of them
+    is compared with `text`, so the site columns are never parsed."""
+    end = text.find(',"pads":')
+    if end < 0:
+        return None
+    try:
+        head = _HEAD(json.loads(text[:end] + "}"), "")
+        cfg = LayoutConfig(**head["config"])
+        layout = generate_layout(cfg, tuple(Annotation(**a) for a in head["annotations"]))
+        check_cables(layout.annotations, layout.side_count)
+        if layout_to_json(layout, cfg) == text:  # a grid beyond the size check raises first
+            return layout
+    except (ValueError, ConfigInvalid):  # the full parse names the field
+        pass
+    return None
+
+
+def _read_parsed(text: str) -> InterposerLayout:
+    """`layout_from_json` by a full parse of `text` and a check of every field."""
     doc = json.loads(text)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != LAYOUT_FORMAT:
@@ -339,6 +369,7 @@ def layout_from_json(text: str) -> InterposerLayout:
         if doc["config"][leaf] != grid[key]:
             raise ConfigInvalid(f"config.{leaf}", f"is {doc['config'][leaf]!r}, but "
                                 f"grid.{key} is {grid[key]!r}")
+    check_cables(layout.annotations, n)
     for name, sites in (("pads", layout.pad_centers), ("solder_balls", layout.solder_ball_sites)):
         for axis, want in _columns(sites).items():
             got = doc[name][axis]
@@ -347,6 +378,28 @@ def layout_from_json(text: str) -> InterposerLayout:
                 raise ConfigInvalid(f"{name}.{axis}", f"entry {i} is {got[i]!r}, off the "
                                     f"{n}x{n} grid, which puts it at {want[i]!r}")
     return layout
+
+
+def layout_from_json(text: str) -> InterposerLayout:
+    """Read a layout.json of format 2.
+
+    The writer's own text is checked by comparison: its `config` and
+    `annotations` are read, and a text equal to what `layout_to_json`
+    writes for them is accepted without parsing the site columns.  Any
+    other text is parsed in full and every field checked, with the same
+    errors either way.
+
+    Raises ConfigInvalid naming the field when the format is not 2, a field
+    is missing or mistyped, a `config` field that the `grid` section repeats
+    differs from it, an annotation names a cable the grid does not have, or
+    a coordinate column differs from the grid that the `grid` section
+    defines.  `config` is read through `LAYOUT`, as a design config's
+    `layout` section is, except that every field is required: the writer
+    writes them all.  The writer writes `grid` and `config` from the same
+    floats, so they are compared exactly.
+    """
+    layout = _read_as_written(text)
+    return layout if layout is not None else _read_parsed(text)
 
 
 def _svg_um(x: float) -> str:

@@ -15,6 +15,7 @@ import pytest
 from densewire import cli, rfnet
 from densewire.cli import _write_atomic, main
 from densewire.config import parse_design_config
+from densewire.layout import layout_from_json
 from densewire.materials import default_catalog
 from densewire.thermal import controller_budget
 from test_rfnet import assert_no_child, counting_forks
@@ -457,6 +458,45 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: sweeps[1]: ")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("cable", ["cable-020", "cable-999", "banana", "cable-01"])
+    @pytest.mark.parametrize("command", ["scale", "impedance", "rf", "layout", "budget", "sweep",
+                                         "paper-check"])
+    def test_annotation_on_no_cable_exits_1(self, tmp_path, config_file, capsys, command, cable):
+        raw = json.loads(config_file.read_text())
+        raw["annotations"][1]["cable"] = cable  # the built-in layout is 20 x 20
+        config_file.write_text(json.dumps(raw))
+        code, out = run_cli(["--config", str(config_file), command], tmp_path)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: annotations[1].cable: {cable!r} is not a cable of the "
+                                "20x20 layout, whose cables are cable-000 to cable-019\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_annotation_on_the_last_cable_is_written(self, tmp_path, config_file):
+        raw = json.loads(config_file.read_text())
+        raw["annotations"][1]["cable"] = "cable-019"
+        config_file.write_text(json.dumps(raw))
+        code, out = run_cli(["--config", str(config_file), "layout"], tmp_path)
+        assert code == 0
+        read = layout_from_json((out / "layout.json").read_text())
+        assert [a.cable for a in read.annotations] == ["cable-000", "cable-019"]
+
+    def test_sweep_point_that_drops_an_annotated_row_exits_1(self, tmp_path, config_file,
+                                                             capsys):
+        raw = json.loads(config_file.read_text())
+        raw["annotations"][1]["cable"] = "cable-010"
+        raw["sweeps"].append({"parameter": "layout.array_side_count", "start": 20, "stop": 5,
+                              "steps": 4})  # 20, 15, 10, 5: row 10 is gone at 10
+        config_file.write_text(json.dumps(raw))
+        code, out = run_cli(["--config", str(config_file), "sweep"], tmp_path)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: sweeps[2]: at layout.array_side_count = 10: annotations[1].cable: "
+            "'cable-010' is not a cable of the 10x10 layout, whose cables are cable-000 to "
+            "cable-009\n")
         assert captured.out == "" and not out.exists()
 
     def test_failed_svg_allocation_writes_nothing(self, tmp_path, monkeypatch, capsys):

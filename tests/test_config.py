@@ -282,8 +282,8 @@ def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, s
 
 # The DesignConfig fields that the builders keyed by each section build.
 _BUILT_BY = {"qubit_array": {"qubit_array"}, "wiring": {"wiring"},
-             **dict.fromkeys(("layout", "pin_stack", "interposer", "coax"),
-                             {"layout", "pin_stack", "coax"}),
+             **dict.fromkeys(("pin_stack", "interposer", "coax"), {"layout", "pin_stack", "coax"}),
+             "layout": {"layout", "pin_stack", "coax", "annotations"},  # a cable is a layout row
              "stages": {"stages", "thermal"}, "thermal": {"thermal"}, "cpw": {"cpw"},
              "rf": {"rf"}, "annotations": {"annotations"}}
 

@@ -9,12 +9,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from densewire import layout as layout_module
 from densewire.config import parse_design_config
 from densewire.errors import ConfigInvalid, UnsupportedFormat
 from densewire.layout import (
     MAX_EXPORT_SITES,
     Annotation,
     LayoutConfig,
+    check_cables,
     check_export_size,
     export_layout,
     generate_layout,
@@ -498,3 +500,82 @@ class TestReader:
         with pytest.raises(ConfigInvalid) as exc:
             layout_from_json(json.dumps(doc | {"config": config}))
         assert exc.value.field == field
+
+
+def _outcome(read, text):
+    """What `read` makes of `text`: the layout, or the field and message it rejects."""
+    try:
+        return read(text)
+    except ConfigInvalid as exc:
+        return exc.field, exc.message
+
+
+def _replace(old, new):
+    def damage(text):
+        assert text.count(old) == 1
+        return text.replace(old, new)
+    return damage
+
+
+def _first_pad_one_ulp_right(text):
+    start = text.index('"pads":{"x":[') + len('"pads":{"x":[')
+    end = text.index(",", start)
+    return text[:start] + repr(math.nextafter(float(text[start:end]), math.inf)) + text[end:]
+
+
+_KIND_WITH_PADS = ',"pads":{"x":['
+
+
+class TestReadAsWritten:
+    """The writer's own text is read without parsing its columns, with the
+    layout or the error that a full parse gives."""
+
+    @pytest.mark.parametrize("damage, want", [
+        (_first_pad_one_ulp_right, "pads.x"),
+        (_replace('"format":2,', '"format":2.0,'), None),
+        (_replace('"pin_length":0.02,', '"pin_length":1,'), None),
+        (lambda text: text + "\n", None),
+        (_replace('"pad_thickness":1e-05,', '"pad_thickness":true,'), "config.pad_thickness"),
+        (lambda text: text, None),  # an annotation kind that holds the columns' key
+        (_replace(',"solder_balls":', ',"pads":{"x":[0],"y":[0]},"solder_balls":'), "pads.x"),
+        (_replace('"pitch":0.0005,', '"pitch":0.0006,'), "config.qubit_pitch"),
+    ], ids=["pad-1-ulp", "format-2.0", "integer-length", "trailing-newline", "true-length",
+            "kind-holds-pads", "second-pads", "grid-pitch"])
+    def test_damaged_text_reads_as_the_full_parse(self, damage, want):
+        layout = generate_layout(NOMINAL, (Annotation("cable-002", _KIND_WITH_PADS, 0.05),))
+        text = damage(layout_to_json(layout, NOMINAL))
+        got = _outcome(layout_from_json, text)
+        assert got == _outcome(layout_module._read_parsed, text)
+        if want is None:
+            assert got == layout
+        else:
+            assert got[0] == want
+
+    def test_writer_text_parses_only_the_head(self, monkeypatch):
+        cfg = mutate(array_side_count=400)
+        layout = generate_layout(cfg, (Annotation("cable-399", _KIND_WITH_PADS, 0.12),))
+        text = layout_to_json(layout, cfg)
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(len(s)) or loads(s, **kw))
+        assert layout_from_json(text) == layout
+        assert parsed and max(parsed) <= text.index(',"pads":') + 1  # the head and its "}"
+
+    @pytest.mark.parametrize("cable", [
+        "cable-003", "cable-999", "banana", "cable-01", "cable-0002", "cable--01", "cable-",
+        "cable-" + "9" * 5000])
+    def test_annotation_on_no_cable_of_the_grid(self, cable):
+        layout = generate_layout(NOMINAL, (Annotation("cable-002", "ir-filter", 0.0),
+                                           Annotation(cable, "ir-filter", 0.05)))
+        text = layout_to_json(layout, NOMINAL)
+        for read in (text, json.dumps(json.loads(text))):  # as written, and parsed in full
+            with pytest.raises(ConfigInvalid) as exc:
+                layout_from_json(read)
+            assert exc.value.field == "annotations[1].cable"
+            assert exc.value.message == (f"{cable!r} is not a cable of the 3x3 layout, "
+                                         "whose cables are cable-000 to cable-002")
+
+    def test_cables_past_999_have_four_digits(self):
+        check_cables((Annotation("cable-1000", "ir-filter", 0.0),), 1001)
+        with pytest.raises(ConfigInvalid):
+            check_cables((Annotation("cable-1000", "ir-filter", 0.0),), 1000)
