@@ -12,6 +12,12 @@ Submodules:
   thermal   - controller power budgets and conductive heat loads
   golden    - the golden reference-value table of `paper-check`
   cli       - the `densewire` command-line tool
+
+Every value type is a class decorated with `units.frozen`: positional or
+keyword construction with defaults, `__post_init__` checks, `==` and
+`hash` over the tuple of fields, the `repr` of a frozen dataclass, no
+assignment or deletion after construction, and the field names in order as
+`__match_args__`.  `units.replace` copies a value with some fields changed.
 """
 
 __version__ = "0.1.0"

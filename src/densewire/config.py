@@ -22,7 +22,6 @@ Derivations tie the sections together the way the hardware does:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import units
@@ -40,7 +39,8 @@ from .thermal import (
     default_stage_model,
 )
 from .units import (
-    build, flag, integer, listof, number, optional, pair, positive_length, raw, section, string)
+    build, flag, frozen, integer, listof, number, optional, pair, positive_length, raw, section,
+    string)
 
 
 MAX_BAND_HZ = 10e9  # the interconnect is specified DC to ~10 GHz
@@ -51,7 +51,7 @@ def _in_band(f_lo: float, f_hi: float) -> bool:
     return 0.0 <= f_lo < f_hi <= MAX_BAND_HZ * (1 + 1e-9)
 
 
-@dataclass(frozen=True)
+@frozen
 class RfSettings:
     """The swept band and the signal path's feed, taper and bond."""
 
@@ -78,14 +78,14 @@ class RfSettings:
             raise ValueError("lengths, bond_resistance and bond_inductance must be >= 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepDecl:
     parameter: str
     points: tuple[float, ...]  # the swept values, start to stop
     keys: tuple[str | int, ...]  # `parameter` as keys into the raw config; ints index lists
 
 
-@dataclass(frozen=True)
+@frozen
 class DesignConfig:
     qubit_array: QubitArraySpec
     wiring: tuple[WiringArchitecture, ...]

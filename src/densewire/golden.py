@@ -12,7 +12,6 @@ reported as computed rather than fudged to match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .layout import LayoutConfig, generate_layout, run_drc
 from .materials import MaterialCatalog, is_superconducting
@@ -46,9 +45,10 @@ from .tlines import (
     line_propagation,
     pin_outer_diameter,
 )
+from .units import frozen, replace
 
 
-@dataclass(frozen=True)
+@frozen
 class GoldenRow:
     id: str
     description: str

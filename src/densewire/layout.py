@@ -11,17 +11,16 @@ exceptions.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConfigInvalid, UnsupportedFormat
 from .tlines import PinStack, pin_outer_diameter
 from .units import (
-    bounded, integer, listof, number, optional, parse_length, positive_length, raw, section, string)
+    bounded, frozen, integer, listof, number, optional, parse_length, positive_length, raw, section,
+    string)
 
 ERROR = "error"
 WARNING = "warning"
@@ -41,7 +40,7 @@ LAYOUT_FORMAT = 2  # the `format` key of layout.json
 MAX_EXPORT_SITES = 10**6
 
 
-@dataclass(frozen=True)
+@frozen
 class LayoutConfig:
     """Dimensions of the pad/pin/hole/channel assembly (meters)."""
 
@@ -67,7 +66,7 @@ class LayoutConfig:
                 raise ConfigInvalid(f"layout.{name}", "must be > 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class Annotation:
     """Attenuator/filter marker on one ribbon cable; positional metadata only."""
 
@@ -110,7 +109,7 @@ class SiteGrid(Sequence):
         return ((x, y) for y in self.ys for x in self.xs)
 
 
-@dataclass(frozen=True)
+@frozen
 class InterposerLayout:
     """An n x n pad/hole grid at `pitch`, one channel and one ribbon cable
     per row.  Holes are coaxial with the pads; solder balls sit on the
@@ -148,14 +147,14 @@ def generate_layout(cfg: LayoutConfig, annotations: tuple[Annotation, ...] = ())
                             cfg.channel_depth, tuple(annotations))
 
 
-@dataclass(frozen=True)
+@frozen
 class DrcFinding:
     rule: str
     severity: str
     message: str
 
 
-@dataclass(frozen=True)
+@frozen
 class DrcReport:
     findings: tuple[DrcFinding, ...]
 
@@ -247,15 +246,26 @@ def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
-def _column_text(sites: SiteGrid) -> str:
-    """`_dumps(_columns(sites))`, with each axis value formatted once: the x
-    column repeats the row's text, the y column repeats each value per row."""
+def _fields(value) -> dict:
+    """A frozen value's fields by name, in order."""
+    return {name: getattr(value, name) for name in value.__match_args__}
+
+
+def _column_parts(sites: SiteGrid):
+    """`_dumps(_columns(sites))` as parts of about one row each, with each
+    axis value formatted once: the x column repeats the row's text, the y
+    column repeats each value per row."""
     row = _dumps(sites.xs)[1:-1]
-    ys = _dumps(sites.ys)[1:-1].split(",")
+    *ys, y_last = _dumps(sites.ys)[1:-1].split(",")
     nx = len(sites.xs)
-    x = ",".join([row] * len(ys))
-    y = ",".join([",".join([v] * nx) for v in ys])
-    return f'{{"x":[{x}],"y":[{y}]}}'
+    yield '{"x":['
+    yield from [row + ","] * len(ys)
+    yield row
+    yield '],"y":['
+    for y in ys:
+        yield (y + ",") * nx
+    yield (y_last + ",") * (nx - 1) + y_last
+    yield "]}"
 
 
 def check_export_size(layout: InterposerLayout) -> None:
@@ -272,22 +282,23 @@ def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig) -> str:
     are not written.
 
     The text is `_dumps` of the whole document; the site columns are built
-    by `_column_text` and every other member by `_dumps`."""
+    by `_column_parts` and every other member by `_dumps`, and one join
+    copies each part once, into the result."""
     check_export_size(layout)
     doc = {
         "format": LAYOUT_FORMAT,
         "units": "m",
         "grid": {"side_count": layout.side_count, "pitch": layout.pitch,
                  "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
-        "annotations": [dataclasses.asdict(a) for a in layout.annotations],
-        "config": dataclasses.asdict(cfg),
+        "annotations": [_fields(a) for a in layout.annotations],
+        "config": _fields(cfg),
     }
-    members = {key: _dumps(value) for key, value in doc.items()}
-    members["pads"] = _column_text(layout.pad_centers)
-    members["solder_balls"] = _column_text(layout.solder_ball_sites)
+    members = {key: [_dumps(value)] for key, value in doc.items()}
+    members["pads"] = _column_parts(layout.pad_centers)
+    members["solder_balls"] = _column_parts(layout.solder_ball_sites)
     parts = ["{"]
-    for key in sorted(members):  # one join copies each member's text once, into the result
-        parts += [f'"{key}":', members[key], ","]
+    for key in sorted(members):
+        parts += [f'"{key}":', *members[key], ","]
     parts[-1] = "}\n"
     return "".join(parts)
 

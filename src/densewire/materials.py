@@ -12,18 +12,17 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigInvalid, NotAConductor, OutOfRange, UnknownMaterial
-from .units import build, listof, load_json, number, optional, pair, section, string
+from .units import build, frozen, listof, load_json, number, optional, pair, section, string
 
 CONDUCTOR = "conductor"
 DIELECTRIC = "dielectric"
 
 
-@dataclass(frozen=True)
+@frozen
 class Material:
     """One catalog record.
 
@@ -58,10 +57,10 @@ class Material:
             prev_t = t
 
 
-@dataclass(frozen=True)
+@frozen
 class MaterialCatalog:
-    entries: dict = field(default_factory=dict)
-    aliases: dict = field(default_factory=dict)
+    entries: dict = {}
+    aliases: dict = {}
 
     def lookup(self, name: str) -> Material:
         key = self.aliases.get(name, name)

@@ -32,7 +32,6 @@ import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
 from typing import Union
@@ -42,9 +41,10 @@ import numpy as np
 from .config import RfSettings
 from .errors import OutOfRange
 from .tlines import SPEED_OF_LIGHT
+from .units import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class UniformLine:
     """Lossless uniform transmission-line section."""
 
@@ -61,7 +61,7 @@ class UniformLine:
             raise ValueError("length must be >= 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class SeriesImpedance:
     """Series R + jwL element; models the pin-pad bond contact."""
 
@@ -73,7 +73,7 @@ class SeriesImpedance:
             raise ValueError("resistance and inductance must be >= 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class ShuntAdmittance:
     """Shunt jwC element."""
 
@@ -132,7 +132,7 @@ def _product(p: tuple, e: tuple) -> tuple:
     return A * ea - b * ec, A * eb + b * ed, c * ea + D * ec, D * ed - c * eb
 
 
-@dataclass(frozen=True)
+@frozen
 class TwoPortNetwork:
     """Cascaded two-port: ABCD entries as complex vectors over the grid, plus port references."""
 
@@ -273,7 +273,7 @@ def _forked(work, what: str):
                 os.waitpid(pid, 0)
 
 
-@dataclass(frozen=True)
+@frozen
 class FrequencyResponse:
     """S-parameters of a reciprocal two-port versus frequency: S12 is S21."""
 
@@ -313,12 +313,12 @@ def to_s_parameters(net: TwoPortNetwork) -> FrequencyResponse:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class MismatchReport:
     response: FrequencyResponse
     worst_s11: float
     worst_s11_frequency: float
-    elements: tuple = field(default=())
+    elements: tuple = ()
 
     def to_record(self) -> dict:
         return {

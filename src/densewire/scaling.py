@@ -13,9 +13,9 @@ points can be evaluated in parallel without shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import OutOfRange, PitchConditionViolated
+from .units import frozen
 
 LATERAL = "lateral"
 VERTICAL = "vertical"
@@ -57,7 +57,7 @@ def _wire_count(x: float) -> float:
     return snap_count(x)
 
 
-@dataclass(frozen=True)
+@frozen
 class QubitArraySpec:
     """Square array: center-to-center qubit pitch and chip side length, meters."""
 
@@ -73,7 +73,7 @@ class QubitArraySpec:
             raise ValueError("qubit count (chip_side / qubit_pitch)^2 is not finite")
 
 
-@dataclass(frozen=True)
+@frozen
 class WiringArchitecture:
     """A wire-access scheme: lateral (edge) or vertical (area) access.
 
@@ -97,7 +97,7 @@ class WiringArchitecture:
             raise ValueError("wires_per_qubit must be >= 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class BondWireGeometry:
     """Wire-bond transmission line: several bond wires form one signal line."""
 
@@ -117,7 +117,7 @@ class BondWireGeometry:
             raise ValueError("shared grounds require at least 2 wires per line")
 
 
-@dataclass(frozen=True)
+@frozen
 class ScalingReport:
     """Outcome of a scaling evaluation.
 

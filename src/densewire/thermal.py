@@ -10,10 +10,10 @@ deterministically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import OutOfRange
 from .materials import MaterialCatalog, interpolate_conductivity
+from .units import frozen
 
 BOLTZMANN = 1.380649e-23           # J/K, exact in the SI
 ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact in the SI
@@ -32,7 +32,7 @@ def _verdict(total: float, cooling_power: float) -> tuple[bool, float]:
     return total <= cooling_power * (1.0 + _FEAS_REL), cooling_power / total
 
 
-@dataclass(frozen=True)
+@frozen
 class Stage:
     name: str
     temperature: float     # K
@@ -45,7 +45,7 @@ class Stage:
             raise ValueError(f"stage {self.name}: cooling_power must be > 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class StageModel:
     """Refrigerator stage ladder, ordered warm to cold."""
 
@@ -80,7 +80,7 @@ def default_stage_model() -> StageModel:
     ))
 
 
-@dataclass(frozen=True)
+@frozen
 class ControllerTech:
     """Per-qubit controller dissipation for a control-electronics family."""
 
@@ -112,7 +112,7 @@ def controller_tech(name: str, power_per_qubit: float | None = None) -> Controll
         ) from None
 
 
-@dataclass(frozen=True)
+@frozen
 class ControllerBudget:
     total: float       # W
     feasible: bool
@@ -130,7 +130,7 @@ def controller_budget(n_qubits: int, tech: ControllerTech, stage: Stage) -> Cont
     return ControllerBudget(total, *_verdict(total, stage.cooling_power))
 
 
-@dataclass(frozen=True)
+@frozen
 class ConductionPath:
     """A bundle of identical conductive links between two temperatures.
 
@@ -208,7 +208,7 @@ def wiedemann_franz_load(path: ConductionPath) -> float:
     return path.count * path.scale * (path.cross_section_area / path.length) * integral
 
 
-@dataclass(frozen=True)
+@frozen
 class ThermalArchitecture:
     """Placement of controller blocks and conduction paths onto stages."""
 
@@ -216,7 +216,7 @@ class ThermalArchitecture:
     paths: tuple[tuple[str, ConductionPath], ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class StageRow:
     stage: str
     temperature: float
@@ -242,7 +242,7 @@ class StageRow:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class StageReport:
     rows: tuple[StageRow, ...]
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateGeometry
+from .units import frozen
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -26,7 +26,7 @@ ETA0_OVER_2PI = 2e-7 * SPEED_OF_LIGHT
 CPW_ETA0_OVER_4 = 30.0 * math.pi
 
 
-@dataclass(frozen=True)
+@frozen
 class PinStack:
     """Pin core plus ordered conformal coatings, inside-out.
 
@@ -50,7 +50,7 @@ def pin_outer_diameter(p: PinStack) -> float:
     return p.core_diameter + 2.0 * sum(t for _, t in p.coatings)
 
 
-@dataclass(frozen=True)
+@frozen
 class CoaxSpec:
     """Coaxial section: inner/outer conductor diameters and fill permittivity."""
 
@@ -70,7 +70,7 @@ class CoaxSpec:
             raise DegenerateGeometry("relative permittivity must be >= 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class CpwSpec:
     """Coplanar waveguide: center trace of width w with gaps s to side grounds.
 

@@ -12,6 +12,9 @@ dotted path of the field.  The ``parse_<dimension>`` kinds are built by
 ``quantity``, and ``section`` nests kinds into a declarative schema of a
 JSON object.
 Container kinds carry ``child(key)``, the kind of one member or None.
+
+``frozen`` makes a class a frozen value type of its annotated fields, the
+kind every reader builds; ``replace`` copies one with some fields changed.
 """
 
 from __future__ import annotations
@@ -260,3 +263,73 @@ def build(cls, where: str, **fields):
         raise
     except (ValueError, DensewireError) as exc:
         raise ConfigInvalid(where, str(exc)) from None
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def frozen(cls):
+    """Make `cls` a frozen value type of its annotated fields, in order.
+
+    What ``@dataclass(frozen=True)`` gives, built with one `exec`:
+    ``__init__`` takes the fields by position or keyword, with the class
+    attributes as defaults (a dict, list or set default is copied for each
+    instance), and calls ``__post_init__`` if the class has one; ``==``
+    compares the tuples of fields of two instances of one class and returns
+    NotImplemented for any other; ``hash`` hashes that tuple; ``repr`` is
+    ``Name(field=value!r, ...)``; assigning or deleting any attribute raises
+    AttributeError.  ``__match_args__`` holds the field names.  Instances
+    keep a ``__dict__``, so ``functools.cached_property`` works on them.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    params = [f"{name}=_d_{name}" if name in defaults else name for name in names]
+    body = [f"        _set(self, {name!r}, {name})" for name in names]
+    for name, value in defaults.items():
+        if type(value) in (dict, list, set):
+            params[names.index(name)] = f"{name}=_fresh"
+            body.insert(0, f"        if {name} is _fresh: {name} = _d_{name}.copy()")
+    if "__post_init__" in cls.__dict__:
+        body.append("        self.__post_init__()")
+    mine = ", ".join(f"self.{name}" for name in names)
+    theirs = ", ".join(f"other.{name}" for name in names)
+    source = "\n".join([
+        f"def make(_set, _fresh, {', '.join(f'_d_{name}' for name in defaults)}):",
+        f"    def __init__(self, {', '.join(params)}):",
+        *body,
+        "    def __eq__(self, other):",
+        "        if other.__class__ is self.__class__:",
+        f"            return ({mine},) == ({theirs},)",
+        "        return NotImplemented",
+        "    def __hash__(self):",
+        f"        return hash(({mine},))",
+        "    return __init__, __eq__, __hash__",
+    ])
+    namespace = {}
+    exec(source, {"__name__": cls.__module__}, namespace)
+    methods = namespace["make"](object.__setattr__, object(),
+                                **{f"_d_{name}": v for name, v in defaults.items()})
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__repr__, cls.__setattr__, cls.__delattr__ = _repr, _setattr, _delattr
+    cls.__match_args__ = names
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the frozen value `obj` with `changes` to its fields, built
+    (and checked) by its class's ``__init__``."""
+    fields = {name: getattr(obj, name) for name in obj.__match_args__}
+    fields.update(changes)
+    return type(obj)(**fields)

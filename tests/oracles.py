@@ -14,7 +14,6 @@ once instead of the RF writers' blocks.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -115,6 +114,9 @@ def unshared_cascade(chain, f) -> list:
 def columnar_layout_json(layout, cfg) -> str:
     """layout.json format 2 as one compact, key-sorted `json.dumps` of the
     whole document, every site coordinate a list entry of its own."""
+    def fields(value):
+        return {name: getattr(value, name) for name in value.__match_args__}
+
     def columns(sites):
         return {"x": [x for _ in sites.ys for x in sites.xs],
                 "y": [y for y in sites.ys for _ in sites.xs]}
@@ -126,8 +128,8 @@ def columnar_layout_json(layout, cfg) -> str:
                  "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
         "pads": columns(layout.pad_centers),
         "solder_balls": columns(layout.solder_ball_sites),
-        "annotations": [dataclasses.asdict(a) for a in layout.annotations],
-        "config": dataclasses.asdict(cfg),
+        "annotations": [fields(a) for a in layout.annotations],
+        "config": fields(cfg),
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 

@@ -55,9 +55,9 @@ from densewire.tlines import (
     coax_outer_for_impedance,
     pin_outer_diameter,
 )
+from densewire.units import replace
 from oracles import bisect, simpson
 
-import dataclasses
 
 
 def ok(cid: str, message: str) -> None:
@@ -258,7 +258,7 @@ def test_c16_drc_rules():
     assert clean.errors == ()
 
     def mutated(**kwargs):
-        cfg = dataclasses.replace(NOMINAL_LAYOUT, **kwargs)
+        cfg = replace(NOMINAL_LAYOUT, **kwargs)
         return run_drc(generate_layout(cfg), cfg, NOMINAL_PIN)
 
     triggers = {

@@ -655,13 +655,44 @@ print(json.dumps(loaded))
 """
 
 
-def test_only_rf_loads_numpy(tmp_path):
-    commands = ["scale", "impedance", "layout", "budget", "sweep", "paper-check", "rf"]
+def _run_probe(probe: str, out: Path, commands: list[str]) -> dict:
+    """The JSON last line of `probe` run in a fresh interpreter on this
+    checkout's package, with `out` and `commands` as its arguments."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(tmp_path), *commands],
+    proc = subprocess.run([sys.executable, "-c", probe, str(out), *commands],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_rf_loads_numpy(tmp_path):
+    commands = ["scale", "impedance", "layout", "budget", "sweep", "paper-check", "rf"]
+    loaded = _run_probe(_NUMPY_PROBE, tmp_path, commands)
     assert loaded == {"import": False, **{c: c == "rf" for c in commands}}
+
+
+# Runs each command in one fresh interpreter and reports, after the import
+# and after each command, which of dataclasses and inspect it has loaded
+# since its start-up (`site` may load modules on some hosts).
+_FOOTPRINT_PROBE = r"""
+import json, sys
+start = set(sys.modules)
+from densewire.cli import main
+def new():
+    return sorted({"dataclasses", "inspect"} & set(sys.modules) - start)
+loaded = {"import": new()}
+for command in sys.argv[2:]:
+    main(["--out", sys.argv[1], command])
+    loaded[command] = new()
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_but_rf_loads_dataclasses_or_inspect(tmp_path):
+    # The value types are built by `units.frozen`; `import dataclasses`
+    # would load inspect, ast, dis and tokenize into every call.
+    commands = ["scale", "impedance", "layout", "budget", "sweep", "paper-check"]
+    loaded = _run_probe(_FOOTPRINT_PROBE, tmp_path, commands)
+    assert loaded == {"import": [], **{c: [] for c in commands}}

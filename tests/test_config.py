@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import random
@@ -276,8 +275,8 @@ def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, s
         point = set_parameter(raw, decl.keys, v)
         got = parse_design_config(point, catalog, cfg)
         assert got == parse_design_config(point, catalog), v
-        assert {f.name for f in dataclasses.fields(got)
-                if getattr(got, f.name) is not getattr(cfg, f.name)} <= rebuilt, v
+        assert {name for name in got.__match_args__
+                if getattr(got, name) is not getattr(cfg, name)} <= rebuilt, v
 
 
 # The DesignConfig fields that the builders keyed by each section build.

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -26,6 +25,7 @@ from densewire.layout import (
     run_drc,
 )
 from densewire.tlines import PinStack
+from densewire.units import replace
 from oracles import columnar_layout_json, svg_fill_shapes
 from test_config import _BAD_VALUES
 
@@ -50,7 +50,7 @@ SVG = "{http://www.w3.org/2000/svg}"
 
 
 def mutate(**kwargs) -> LayoutConfig:
-    return dataclasses.replace(NOMINAL, **kwargs)
+    return replace(NOMINAL, **kwargs)
 
 
 def tuple_grid(cfg: LayoutConfig):
@@ -446,7 +446,7 @@ class TestReader:
             layout_from_json(json.dumps(doc))
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("leaf", [f.name for f in dataclasses.fields(LayoutConfig)])
+    @pytest.mark.parametrize("leaf", LayoutConfig.__match_args__)
     def test_config_is_read_like_the_design_config_layout(self, leaf):
         # Of the bad values, a positive number is a length, and 1 a side count.
         # A field that `grid` repeats must also equal it, which none of them do.

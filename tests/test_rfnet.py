@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -27,6 +26,7 @@ from densewire.rfnet import (
     touchstone,
 )
 from densewire.tlines import SPEED_OF_LIGHT
+from densewire.units import replace
 from oracles import (
     brute_force_cascade,
     line_two_step_s11,
@@ -465,7 +465,7 @@ class TestMismatchReport:
     def test_taper_reduces_low_frequency_mismatch(self):
         rf = RfSettings(band=(0.0, 2e9), points=401)
         plain = mismatch_report(rf, 0.02, 14.0, **EPS)
-        tapered = mismatch_report(dataclasses.replace(rf, taper_length=0.01, taper_segments=16),
+        tapered = mismatch_report(replace(rf, taper_length=0.01, taper_segments=16),
                                   0.02, 14.0, **EPS)
         assert tapered.worst_s11 < plain.worst_s11
 
@@ -527,7 +527,7 @@ class TestPinnedText:
         assert touchstone(PINNED) == "# Hz S RI R 50\n" + PINNED_ROWS
 
     def test_touchstone_v2_for_unequal_references(self):
-        assert touchstone(dataclasses.replace(PINNED, z_load=75.0)) == (
+        assert touchstone(replace(PINNED, z_load=75.0)) == (
             "[Version] 2.0\n"
             "# Hz S RI R 50\n"
             "[Number of Ports] 2\n"
@@ -574,7 +574,7 @@ class TestBlockedRows:
         csv = response_csv(resp)
         assert csv == oracles.response_csv(resp)
         assert touchstone(resp) == oracles.touchstone(resp)
-        unequal = dataclasses.replace(resp, z_load=75.0)
+        unequal = replace(resp, z_load=75.0)
         assert touchstone(unequal) == oracles.touchstone(unequal)
         if z0 == 50.0:  # the matched path's S11 is a signed zero, -inf dB
             assert ",-0,-0," in csv and ",-inf," in csv
@@ -599,7 +599,7 @@ class TestBlockedRows:
     def test_a_forked_half_joins_as_the_oracles(self, z_load):
         # 25 blocks, the last one short: a child formats the later 12.
         n = 24 * _BLOCK + 1696
-        resp = dataclasses.replace(
+        resp = replace(
             to_s_parameters(cascade([UniformLine(24.0, 3.0, 0.02)], np.linspace(0, 10e9, n))),
             z_load=z_load)
         self.assert_streamed_pairs_equal_the_oracles(resp, n)
