@@ -13,8 +13,9 @@ so configs can be annotated.  Every type, unit, range or reference error
 raises ConfigInvalid naming the dotted field path.
 
 Derivations tie the sections together the way the hardware does:
-  * the interposer coax inherits inner diameter from the finished pin and
-    outer diameter from the hole, with the fill material's permittivity;
+  * the interposer coax is the finished pin in its hole: its inner
+    diameter is the pin's, its outer diameter `layout.hole_diameter`, and
+    its fill the catalog permittivity of `interposer.dielectric`;
   * a pin core diameter of "auto" back-solves from the hole diameter,
     the pin/hole diametral clearance, and the coating stack.
 """
@@ -123,11 +124,8 @@ _SCHEMA = section(
                       coatings=optional(listof(pair(string, length)))),
     interposer=optional(section(
         dielectric=optional(string, "STYCAST-1266"),
-        eps_r=optional(units.bounded(number, 1.0)),
         pin_hole_clearance=optional(positive_length, "100um")), {}),
     layout=LAYOUT,
-    coax=optional(section(inner_diameter=length, outer_diameter=length,
-                          eps_r=optional(number))),
     cpw=optional(section(
         trace_width=length, gap=length, substrate_eps_r=number, covered=optional(flag),
         cover_height=optional(positive_length))),
@@ -184,19 +182,16 @@ def _wiring(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
 
 def _interposer(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     """The layout, the pin stack and the interposer coax: an "auto" pin core
-    fills the hole, and without a coax section the coax is the pin in its hole."""
+    fills the hole, and the coax is the finished pin in its hole."""
     layout = build(LayoutConfig, "layout", **doc["layout"])
 
     interposer = doc["interposer"]
     dielectric = interposer["dielectric"]
-    eps_r = interposer.get("eps_r")
+    if dielectric not in cat:
+        raise ConfigInvalid("interposer.dielectric", f"unknown material {dielectric!r}")
+    eps_r = cat.lookup(dielectric).relative_permittivity
     if eps_r is None:
-        if dielectric not in cat:
-            raise ConfigInvalid("interposer.dielectric", f"unknown material {dielectric!r}")
-        eps_r = cat.lookup(dielectric).relative_permittivity
-        if eps_r is None:
-            raise ConfigInvalid("interposer.dielectric",
-                                f"{dielectric!r} has no relative permittivity")
+        raise ConfigInvalid("interposer.dielectric", f"{dielectric!r} has no relative permittivity")
 
     pin = doc["pin_stack"]
     if pin["core_diameter"] == "auto":
@@ -213,14 +208,11 @@ def _interposer(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
         if name not in cat:
             raise ConfigInvalid(f"pin_stack.coatings[{i}][0]", f"material {name!r} not in catalog")
 
-    coax = doc.get("coax") or {"inner_diameter": pin_outer_diameter(pin_stack),
-                               "outer_diameter": layout.hole_diameter}
-    if "coax" not in doc and coax["inner_diameter"] >= layout.hole_diameter:
-        raise ConfigInvalid("pin_stack", f"the finished pin ({coax['inner_diameter']:g} m) must "
-                            f"be narrower than layout.hole_diameter ({layout.hole_diameter:g} m)")
-    if "eps_r" not in coax:
-        coax = coax | {"eps_r": eps_r, "dielectric": dielectric}
-    return {"layout": layout, "pin_stack": pin_stack, "coax": build(CoaxSpec, "coax", **coax)}
+    d, hole = pin_outer_diameter(pin_stack), layout.hole_diameter
+    if d >= hole:
+        raise ConfigInvalid("pin_stack", f"the finished pin ({d * 1e6:.6g} um) must be narrower "
+                            f"than layout.hole_diameter ({hole * 1e6:.6g} um)")
+    return {"layout": layout, "pin_stack": pin_stack, "coax": CoaxSpec(d, hole, eps_r, dielectric)}
 
 
 def _cpw(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
@@ -282,7 +274,7 @@ def _annotations(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
 _BUILDERS = (
     (("qubit_array",), _qubit_array),
     (("wiring",), _wiring),
-    (("layout", "pin_stack", "interposer", "coax"), _interposer),
+    (("layout", "pin_stack", "interposer"), _interposer),
     (("stages",), _stages),
     (("cpw",), _cpw),
     (("rf",), _rf),

@@ -73,18 +73,7 @@ class SeriesImpedance:
             raise ValueError("resistance and inductance must be >= 0")
 
 
-@frozen
-class ShuntAdmittance:
-    """Shunt jwC element."""
-
-    capacitance: float = 0.0
-
-    def __post_init__(self):
-        if self.capacitance < 0:
-            raise ValueError("capacitance must be >= 0")
-
-
-NetworkElement = Union[UniformLine, SeriesImpedance, ShuntAdmittance]
+NetworkElement = Union[UniformLine, SeriesImpedance]
 
 
 def _line_phase(e: UniformLine, f: np.ndarray, phases: dict) -> tuple:
@@ -105,7 +94,7 @@ def _abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
     """a, b, c, d of the element's ABCD matrix [[a, jb], [jc, d]] over the grid `f`;
     each a scalar or a vector.
 
-    They are real for a lossless element (a line, a series jwL, a shunt jwC).
+    They are real for a lossless element (a line, a series jwL).
     A series R > 0 has b = wL - jR, so that jb = R + jwL.  A line's c is
     s * (1 / z0), the value numpy gives for a complex vector over the real
     z0, which it divides through the reciprocal.
@@ -116,8 +105,6 @@ def _abcd(e: NetworkElement, f: np.ndarray, phases: dict) -> tuple:
     if isinstance(e, SeriesImpedance):
         x = 2.0 * math.pi * f * e.inductance
         return 1.0, (x - 1j * e.resistance if e.resistance else x), 0.0, 1.0
-    if isinstance(e, ShuntAdmittance):
-        return 1.0, 0.0, 2.0 * math.pi * f * e.capacitance, 1.0
     raise TypeError(f"not a network element: {e!r}")
 
 

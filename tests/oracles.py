@@ -96,8 +96,6 @@ def _complex_abcd(e, f: np.ndarray) -> tuple:
         return cos, 1j * e.z0 * sin, 1j * sin / e.z0, cos
     if isinstance(e, rfnet.SeriesImpedance):
         return 1.0, e.resistance + 1j * 2.0 * math.pi * f * e.inductance, 0.0, 1.0
-    if isinstance(e, rfnet.ShuntAdmittance):
-        return 1.0, 0.0, 1j * 2.0 * math.pi * f * e.capacitance, 1.0
     raise TypeError(f"not a network element: {e!r}")
 
 

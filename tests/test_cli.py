@@ -156,6 +156,9 @@ class TestSubcommands:
         assert zs[0] == pytest.approx(24.0, abs=0.5)
         assert zs[-1] == pytest.approx(14.0, abs=0.5)
         assert all(a > b for a, b in zip(zs, zs[1:]))
+        # Each point's parse derives the coax from the pin in the swept hole.
+        for r in rows:
+            assert (r["coax_inner_m"], r["coax_outer_m"]) == (r["pin_outer_m"], r["value"]), r
 
     def test_sweep_limiting_factor_flips_once(self, tmp_path):
         code, out = run_cli(["sweep"], tmp_path, "flip")

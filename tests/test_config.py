@@ -51,13 +51,6 @@ def test_auto_pin_core_and_derived_coax(raw, catalog):
     assert cfg.coax.dielectric == "STYCAST-1266"
 
 
-def test_explicit_coax_override(raw, catalog):
-    raw["coax"] = {"inner_diameter": "100um", "outer_diameter": "200um", "eps_r": 2.1}
-    cfg = parse_design_config(raw, catalog)
-    assert cfg.coax.inner_diameter == pytest.approx(100e-6)
-    assert cfg.coax.eps_r == 2.1
-
-
 def test_unknown_key_names_field(raw, catalog):
     raw["layout"]["hole_diamater"] = "300um"
     with pytest.raises(ConfigInvalid) as err:
@@ -226,11 +219,6 @@ def test_parsing_never_writes_to_raw(raw, catalog, variant):
     assert raw == before
 
 
-def _explicit_coax(raw: dict) -> dict:
-    raw["coax"] = {"inner_diameter": "100um", "outer_diameter": "200um"}
-    return raw
-
-
 def _with_stages(raw: dict) -> dict:
     raw["stages"] = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
                      {"name": "3K", "temperature": "3K", "cooling_power": "1W"},
@@ -243,12 +231,10 @@ _BUILDER_SWEEPS = [
     ("qubit_array.chip_side", "10mm", "30mm", 5, None),
     ("wiring.0.bond_geometry.wire_diameter", "10um", "30um", 5, None),
     ("wiring.1.wire_pitch", "300um", "500um", 5, None),
-    ("layout.hole_diameter", "200um", "300um", 5, None),  # the auto core and the derived coax
+    ("layout.hole_diameter", "200um", "300um", 5, None),  # the auto core and the coax
     ("layout.array_side_count", 2, 10, 5, None),
     ("interposer.pin_hole_clearance", "50um", "150um", 5, None),
     ("pin_stack.coatings.1.1", "5um", "15um", 5, None),
-    ("coax.outer_diameter", "150um", "300um", 4, _explicit_coax),
-    ("layout.hole_diameter", "150um", "300um", 4, _explicit_coax),
     ("cpw.gap", "3um", "12um", 4, None),
     ("rf.bond_inductance", "0pH", "100pH", 5, None),
     ("stages.0.cooling_power", "100W", "2kW", 5, _with_stages),
@@ -281,7 +267,7 @@ def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, s
 
 # The DesignConfig fields that the builders keyed by each section build.
 _BUILT_BY = {"qubit_array": {"qubit_array"}, "wiring": {"wiring"},
-             **dict.fromkeys(("pin_stack", "interposer", "coax"), {"layout", "pin_stack", "coax"}),
+             **dict.fromkeys(("pin_stack", "interposer"), {"layout", "pin_stack", "coax"}),
              "layout": {"layout", "pin_stack", "coax", "annotations"},  # a cable is a layout row
              "stages": {"stages", "thermal"}, "thermal": {"thermal"}, "cpw": {"cpw"},
              "rf": {"rf"}, "annotations": {"annotations"}}
@@ -289,7 +275,7 @@ _BUILT_BY = {"qubit_array": {"qubit_array"}, "wiring": {"wiring"},
 
 def test_every_section_has_a_builder(raw):
     names = {name for names, _ in config_module._BUILDERS for name in names}
-    read = config_module._SCHEMA(_with_stages(_explicit_coax(raw)), "")
+    read = config_module._SCHEMA(_with_stages(raw), "")
     assert names == read.keys() - {"sweeps"} == _BUILT_BY.keys()
 
 
@@ -302,7 +288,8 @@ def _new_chip_side(raw: dict) -> None:
 
 
 def _add_coax(raw: dict) -> None:
-    _explicit_coax(raw)
+    # A section the schema does not have: a whole parse rejects it.
+    raw["coax"] = {"inner_diameter": "100um", "outer_diameter": "200um"}
 
 
 def _drop_cpw(raw: dict) -> None:
@@ -331,20 +318,17 @@ _BAD_STAGES = [{"name": "3K", "temperature": "3K", "cooling_power": "1W"},
                {"name": "4K", "temperature": "4K", "cooling_power": "1W"}]
 _BAD_CPW = {"trace_width": "10um", "gap": "6um", "substrate_eps_r": 0.5}
 _BAD_RF = {"band": ["5GHz", "1GHz"]}
-_BAD_COAX = {"inner_diameter": "300um", "outer_diameter": "200um"}
 
 
 @pytest.mark.parametrize("invalid, section, value, first", [
     ("stages", "cpw", _BAD_CPW, "stages"),
     ("stages", "rf", _BAD_RF, "stages"),
-    ("stages", "coax", _BAD_COAX, "coax"),
     ("thermal", "cpw", _BAD_CPW, "cpw"),
     ("thermal", "rf", _BAD_RF, "rf.band"),
-], ids=["stages-cpw", "stages-rf", "stages-explicit-coax", "thermal-cpw", "thermal-rf"])
+], ids=["stages-cpw", "stages-rf", "thermal-cpw", "thermal-rf"])
 def test_builder_order_sets_the_first_error(raw, catalog, invalid, section, value, first):
     # Stages are built before cpw and rf, and the thermal section after
-    # them, as a whole parse always has; an explicit coax section is built
-    # with the layout, before the stages.
+    # them, as a whole parse always has.
     if invalid == "stages":
         raw["stages"] = _BAD_STAGES
     else:
@@ -398,7 +382,6 @@ _BAD_INPUTS = [
     (("thermal", "controllers", 0, "tech"), "bogus", "budget", "thermal.controllers[0]"),
     (("thermal", "controllers", 0, "count"), 0, "budget", "thermal.controllers[0].count"),
     (("wiring", 1, "wires_per_qubit"), "x", "scale", "wiring[1].wires_per_qubit"),
-    (("interposer", "eps_r"), "x", "impedance", "interposer.eps_r"),
     (("qubit_array",), [1], "scale", "qubit_array"),
     (("cpw", "substrate_eps_r"), float("nan"), "impedance", "cpw.substrate_eps_r"),
     (("layout", "pin_length"), float("nan"), "layout", "layout.pin_length"),
@@ -433,7 +416,7 @@ _BAD_INPUTS = [
     # named the swept field, and only once `sweep` reached a non-integral point
     (("sweeps", 0), _SIDE_SWEEP | {"steps": 4}, "scale", "sweeps[0].steps"),
     # a field the config does not set: the lateral pitch derives from
-    # bond_geometry, and there is no coax section
+    # bond_geometry; a field of no section, since the coax is the pin in its hole
     (("sweeps", 0, "parameter"), "wiring.0.wire_pitch", "scale", "sweeps[0].parameter"),
     (("sweeps", 0, "parameter"), "coax.inner_diameter", "scale", "sweeps[0].parameter"),
     # a traceback from the sweep grid; 1e17 points exceed any address space,
@@ -473,16 +456,15 @@ _BAD_INPUTS = [
     (("thermal", "controllers", 0, "count"), 10**400, "budget", "thermal.controllers[0].count"),
     # a repeated sweep parameter replaced the first sweep's CSV with the second
     (("sweeps", 1, "parameter"), "layout.hole_diameter", "sweep", "sweeps[1].parameter"),
-    # named `coax`, a section the config does not have: the coax is derived
-    # from the pin in its hole, and its fill from the interposer
+    # named `coax`, a section the config does not have: the coax is the pin
+    # in its hole, and its fill the interposer's dielectric
     (("pin_stack", "core_diameter"), 1, "impedance", "pin_stack"),
     (("pin_stack", "core_diameter"), 0.5, "layout", "pin_stack"),
     (("pin_stack", "core_diameter"), "400um", "rf", "pin_stack"),
-    (("interposer", "eps_r"), 0.5, "impedance", "interposer.eps_r"),
-    # an explicit coax section is named itself
-    (("coax",), {"inner_diameter": "300um", "outer_diameter": "100um"}, "impedance", "coax"),
-    (("coax",), {"inner_diameter": "100um", "outer_diameter": "300um", "eps_r": 0.5}, "impedance",
-     "coax"),
+    # a valid coax section, or a fill permittivity, gave `impedance` and `rf`
+    # a line that `layout` does not draw, and exited 0
+    (("coax",), {"inner_diameter": "100um", "outer_diameter": "400um"}, "impedance", "coax"),
+    (("interposer", "eps_r"), 9.0, "impedance", "interposer.eps_r"),
 ]
 
 
@@ -513,18 +495,28 @@ def test_bad_input_exits_1_naming_field(default_raw, tmp_path, path, value, comm
 
 
 @pytest.mark.parametrize("command", ["impedance", "layout"])
-@pytest.mark.parametrize("coax", [None, {"inner_diameter": "100um", "outer_diameter": "300um"}],
-                         ids=["derived-coax", "explicit-coax"])
 @pytest.mark.parametrize("clearance", ["-50um", "-1um", "0um"])
-def test_pin_hole_clearance_must_be_positive(default_raw, tmp_path, clearance, coax, command):
-    # With an explicit coax section, a pin as wide as its hole, or wider,
-    # exited 0; without one, the error named the derived `coax`.
+def test_pin_hole_clearance_must_be_positive(default_raw, tmp_path, clearance, command):
+    # A pin as wide as its hole, or wider, gave an error naming the `coax`
+    # that the pin in its hole makes.
     raw = _mutated(default_raw, ("interposer", "pin_hole_clearance"), clearance)
-    if coax is not None:
-        raw["coax"] = coax
     code, err = _run_cli(raw, command, tmp_path)
     assert code == 1
     assert err.startswith("error: interposer.pin_hole_clearance: must be > 0"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["scale", "impedance", "rf", "layout", "budget", "sweep"])
+@pytest.mark.parametrize("path, value, field", [
+    (("coax",), {"inner_diameter": "100um", "outer_diameter": "400um"}, "coax"),
+    (("interposer", "eps_r"), 9.0, "interposer.eps_r"),
+], ids=["coax", "interposer.eps_r"])
+def test_removed_input_exits_1_naming_it(default_raw, tmp_path, path, value, field, command):
+    # The coax is the finished pin in its hole, filled with the catalog
+    # permittivity of interposer.dielectric; no input states another line.
+    code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
+    assert code == 1
+    assert err.startswith(f"error: {field}: unknown field; "), err
     assert not (tmp_path / "out").exists()
 
 
@@ -611,7 +603,7 @@ def test_auto_core_closed_by_a_coating_names_the_coatings(raw, tmp_path):
      "core is not positive; check layout.hole_diameter, interposer.pin_hole_clearance and "
      "pin_stack.coatings"),
     ("200um", "200um", "at layout.hole_diameter = 0.00022: pin_stack: the finished pin "
-     "(0.000222 m) must be narrower than layout.hole_diameter (0.00022 m)"),
+     "(222 um) must be narrower than layout.hole_diameter (220 um)"),
 ], ids=["auto-core-not-positive", "pin-as-wide-as-the-hole"])
 def test_point_rejected_across_sections_names_its_sweep_and_writes_nothing(raw, tmp_path, core,
                                                                            stop, message):
@@ -705,12 +697,10 @@ _COMMANDS = ("scale", "impedance", "rf", "budget", "sweep", "layout")
 def _every_optional_field(raw: dict) -> dict:
     """`raw` with every optional field the built-in config leaves out set."""
     raw = copy.deepcopy(raw)
-    raw["coax"] = {"inner_diameter": "200um", "outer_diameter": "300um", "eps_r": 3.0}
     raw["cpw"] = _COVERED_CPW | {"cover_height": "50um"}
     raw["stages"] = [{"name": "300K", "temperature": "300K", "cooling_power": "1kW"},
                      {"name": "3K", "temperature": "3K", "cooling_power": "1W"},
                      {"name": "10mK", "temperature": "10mK", "cooling_power": "20uW"}]
-    raw["interposer"]["eps_r"] = 3.0
     raw["wiring"][1]["wires_per_qubit"] = 1.5
     raw["thermal"]["controllers"][0]["power_per_qubit"] = "1uW"
     raw["thermal"]["paths"].append(_WF_PATH | {"t_cold": "10mK", "count": 4, "scale": 2.0})

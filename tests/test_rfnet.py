@@ -14,7 +14,6 @@ from densewire.rfnet import (
     FrequencyResponse,
     RfSettings,
     SeriesImpedance,
-    ShuntAdmittance,
     TwoPortNetwork,
     UniformLine,
     build_signal_path,
@@ -84,25 +83,21 @@ def matrix(net: TwoPortNetwork, i: int) -> np.ndarray:
 def random_element(rng, kind: int):
     if kind == 0:
         return UniformLine(rng.uniform(5, 100), rng.uniform(1, 10), rng.uniform(0, 0.05))
-    if kind == 1:
-        return SeriesImpedance(rng.uniform(0, 5), rng.uniform(0, 5e-9))
-    return ShuntAdmittance(rng.uniform(0, 5e-12))
+    return SeriesImpedance(rng.uniform(0, 5), rng.uniform(0, 5e-9))
 
 
 def random_lossless_element(rng, seen: set):
-    """A line, a series L or a shunt C; a quarter of them is a zero one
-    (a length of 0.0 or -0.0, L = 0, C = 0), named in `seen`."""
-    kind, zero = int(rng.integers(0, 3)), rng.random() < 0.25
+    """A line or a series L; a quarter of them is a zero one (a length of
+    0.0 or -0.0, L = 0), named in `seen`."""
+    kind, zero = int(rng.integers(0, 2)), rng.random() < 0.25
     if kind == 0:
         length = float(rng.choice([0.0, -0.0])) if zero else rng.uniform(0, 0.05)
         if zero:
             seen.add(f"length {length}")
         return UniformLine(rng.uniform(5, 100), rng.uniform(1, 10), length)
     if zero:
-        seen.add(("L = 0", "C = 0")[kind - 1])
-    if kind == 1:
-        return SeriesImpedance(0.0, 0.0 if zero else rng.uniform(0, 5e-9))
-    return ShuntAdmittance(0.0 if zero else rng.uniform(0, 5e-12))
+        seen.add("L = 0")
+    return SeriesImpedance(0.0, 0.0 if zero else rng.uniform(0, 5e-9))
 
 
 class TestElementMatrices:
@@ -120,17 +115,11 @@ class TestElementMatrices:
         m = abcd(SeriesImpedance(1.0), 5e9)
         assert np.allclose(m, [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
-    def test_shunt_capacitor(self):
-        f = 5e9
-        m = abcd(ShuntAdmittance(1e-12), f)
-        assert m[1, 0] == pytest.approx(1j * 2 * math.pi * f * 1e-12, rel=1e-15)
-
 
 class TestCascade:
     def test_single_element_is_its_matrix(self):
         f = np.array([1e9, 5e9])
-        for element in (UniformLine(24.0, 3.0, 0.02), SeriesImpedance(1.0, 1e-9),
-                        ShuntAdmittance(1e-12)):
+        for element in (UniformLine(24.0, 3.0, 0.02), SeriesImpedance(1.0, 1e-9)):
             net = cascade([element], f)
             for i, freq in enumerate(f):
                 assert np.array_equal(matrix(net, i), abcd(element, freq))
@@ -162,10 +151,10 @@ class TestCascade:
         freqs = [0.0, 1e8, 1.3e9, 5e9, 10e9]
         kinds_seen = set()
         for n in (1, 2, 4, 8, 16, 33, 67, 67):
-            kinds = rng.integers(0, 3, n)
+            kinds = rng.integers(0, 2, n)
             kinds_seen.update(kinds.tolist())
             self.assert_matches_brute_force([random_element(rng, k) for k in kinds], freqs)
-        assert kinds_seen == {0, 1, 2}
+        assert kinds_seen == {0, 1}
 
     @staticmethod
     def assert_equals_unshared(chain):
@@ -200,7 +189,7 @@ class TestCascade:
             freqs = np.linspace((0.0, 1e9)[trial % 2], 10e9, 33)
             z_load = 50.0 if trial % 4 < 2 else rng.uniform(10, 100)
             self.assert_equals_complex_product(chain, freqs, z_load)
-        assert seen == {"length 0.0", "length -0.0", "L = 0", "C = 0"}
+        assert seen == {"length 0.0", "length -0.0", "L = 0"}
 
     @pytest.mark.parametrize("resistance", [0.0, 0.5])
     def test_frequency_passes_join_exactly(self, resistance):
@@ -354,14 +343,11 @@ class TestSParameters:
         for _ in range(100):
             chain = []
             for _ in range(rng.integers(1, 6)):
-                kind = rng.integers(0, 3)
-                if kind == 0:
+                if rng.integers(0, 2) == 0:
                     chain.append(UniformLine(rng.uniform(5, 100), rng.uniform(1, 10),
                                              rng.uniform(0, 0.05)))
-                elif kind == 1:
-                    chain.append(SeriesImpedance(0.0, rng.uniform(0, 5e-9)))
                 else:
-                    chain.append(ShuntAdmittance(rng.uniform(0, 5e-12)))
+                    chain.append(SeriesImpedance(0.0, rng.uniform(0, 5e-9)))
             zs = rng.uniform(10, 100)
             zl = rng.uniform(10, 100)
             net = cascade(chain, freqs, z_src=zs, z_load=zl)
@@ -385,8 +371,7 @@ class TestSParameters:
             for element in (UniformLine(rng.uniform(5, 100), rng.uniform(1, 10),
                                         rng.uniform(0, 0.05)),
                             SeriesImpedance(rng.uniform(0, 5), rng.uniform(0, 5e-9)),
-                            SeriesImpedance(0.0, rng.uniform(0, 5e-9)),
-                            ShuntAdmittance(rng.uniform(0, 5e-12))):
+                            SeriesImpedance(0.0, rng.uniform(0, 5e-9))):
                 err, _ = self.determinant_error([element], freqs)
                 assert err.max() <= 4 * np.finfo(float).eps, element
 
@@ -399,8 +384,7 @@ class TestSParameters:
         for _ in range(100):
             chain = [[UniformLine(rng.uniform(5, 100), rng.uniform(1, 10), rng.uniform(0, 0.05)),
                       SeriesImpedance(rng.uniform(0.1, 5) if lossy else 0.0,
-                                      rng.uniform(0, 2e-10)),
-                      ShuntAdmittance(rng.uniform(0, 2e-13))][rng.integers(0, 3)]
+                                      rng.uniform(0, 2e-10))][rng.integers(0, 2)]
                      for _ in range(rng.integers(1, 8))]
             if lossy:
                 chain.insert(rng.integers(0, len(chain) + 1), SeriesImpedance(1.0, 0.0))
