@@ -13,6 +13,8 @@ so configs can be annotated.  Every type, unit, range or reference error
 raises ConfigInvalid naming the dotted field path.
 
 Derivations tie the sections together the way the hardware does:
+  * one pin sits under every qubit, so the qubit array's pitch is
+    `layout.qubit_pitch`, and `qubit_array` states only the chip side;
   * the interposer coax is the finished pin in its hole: its inner
     diameter is the pin's, its outer diameter `layout.hole_diameter`, and
     its fill the catalog permittivity of `interposer.dielectric`;
@@ -112,7 +114,7 @@ temperature, resistance = units.parse_temperature, units.parse_resistance
 # The whole config schema.  Optional fields without a default here take the
 # value type's own default.
 _SCHEMA = section(
-    qubit_array=section(qubit_pitch=length, chip_side=length),
+    qubit_array=section(chip_side=length),
     wiring=listof(section(
         access=string,
         wire_pitch=optional(length),
@@ -157,7 +159,13 @@ _SCHEMA = section(
 
 
 def _qubit_array(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
-    return {"qubit_array": build(QubitArraySpec, "qubit_array", **doc["qubit_array"])}
+    """One qubit, and one pin under it, per cell of the layout grid."""
+    try:
+        spec = QubitArraySpec(doc["layout"]["qubit_pitch"], doc["qubit_array"]["chip_side"])
+    except ValueError as exc:
+        raise ConfigInvalid("qubit_array", f"{exc}; check qubit_array.chip_side and "
+                            "layout.qubit_pitch") from None
+    return {"qubit_array": spec}
 
 
 def _wiring(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
@@ -272,7 +280,7 @@ def _annotations(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
 # it takes from `built`, in the order a parse runs them: the order in
 # which their errors are found.
 _BUILDERS = (
-    (("qubit_array",), _qubit_array),
+    (("qubit_array", "layout"), _qubit_array),
     (("wiring",), _wiring),
     (("layout", "pin_stack", "interposer"), _interposer),
     (("stages",), _stages),

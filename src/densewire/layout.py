@@ -6,7 +6,9 @@ render in micrometers (SVG user unit = 1 um).  A layout is its grid: it
 stores the side count, pitch and channel cross-section, and every site is
 derived from one tuple of row/column offsets, so an n x n layout costs O(n)
 memory.  Generation and DRC are pure functions; findings are data, never
-exceptions.
+exceptions.  layout.json states the grid once, as its generating `config`
+(the design config's `layout` section), next to the site columns that the
+reader checks against it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from functools import cached_property
 from .errors import ConfigInvalid, UnsupportedFormat
 from .tlines import PinStack, pin_outer_diameter
 from .units import (
-    bounded, frozen, integer, listof, number, optional, parse_length, positive_length, raw, section,
-    string)
+    bounded, frozen, integer, listof, parse_length, positive_length, raw, section, string)
 
 ERROR = "error"
 WARNING = "warning"
@@ -33,7 +34,7 @@ TIP_TOLERANCE_MAX = 2.5e-6
 MIN_CHANNEL_ASPECT = 0.14          # width/depth demonstrated machinable
 BOND_PRESSURE_RANGE = (10.0, 20.0)  # N/mm^2, chip-compression bonding
 
-LAYOUT_FORMAT = 2  # the `format` key of layout.json
+LAYOUT_FORMAT = 3  # the `format` key of layout.json
 
 # Most sites a layout file is written for: 1000 x 1000, the densest grid a
 # 200 mm chip holds at the 200 um minimum hole of the process envelope.
@@ -84,7 +85,7 @@ LAYOUT = section(
     channel_width=positive_length, channel_depth=positive_length,
     pin_length=positive_length, pad_thickness=positive_length,
     tip_tolerance=positive_length, ground_curb_width=positive_length,
-    solder_ball_diameter=optional(positive_length))
+    solder_ball_diameter=positive_length)
 
 
 class SiteGrid(Sequence):
@@ -277,9 +278,9 @@ def check_export_size(layout: InterposerLayout) -> None:
 
 
 def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig) -> str:
-    """The grid, its site coordinates as columns and the generating config,
-    meters; compact and deterministic byte-for-byte.  Holes equal pads and
-    are not written.
+    """The generating config, which states the grid, and the grid's site
+    coordinates as columns, meters; compact and deterministic
+    byte-for-byte.  Holes equal pads and are not written.
 
     The text is `_dumps` of the whole document; the site columns are built
     by `_column_parts` and every other member by `_dumps`, and one join
@@ -288,8 +289,6 @@ def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig) -> str:
     doc = {
         "format": LAYOUT_FORMAT,
         "units": "m",
-        "grid": {"side_count": layout.side_count, "pitch": layout.pitch,
-                 "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
         "annotations": [_fields(a) for a in layout.annotations],
         "config": _fields(cfg),
     }
@@ -303,18 +302,12 @@ def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig) -> str:
     return "".join(parts)
 
 
-_positive = bounded(number, 0.0, strict=True)
 _SITE_COLUMNS = section(x=raw, y=raw)  # checked against the grid
 _LAYOUT_JSON = section(
     format=integer(LAYOUT_FORMAT), units=string,
-    grid=section(side_count=integer(1), pitch=_positive, channel_width=_positive,
-                 channel_depth=_positive),
     pads=_SITE_COLUMNS, solder_balls=_SITE_COLUMNS,
     annotations=listof(ANNOTATION),
     config=LAYOUT)
-# Each `config` field that `grid` repeats: (config field, grid field).
-_GRID_IN_CONFIG = (("qubit_pitch", "pitch"), ("array_side_count", "side_count"),
-                   ("channel_width", "channel_width"), ("channel_depth", "channel_depth"))
 
 
 def check_cables(annotations: Sequence[Annotation], side_count: int) -> None:
@@ -332,7 +325,15 @@ def check_cables(annotations: Sequence[Annotation], side_count: int) -> None:
 
 
 # The members `layout_to_json` writes before the site columns.
-_HEAD = section(annotations=listof(ANNOTATION), config=LAYOUT, format=raw, grid=raw)
+_HEAD = section(annotations=listof(ANNOTATION), config=LAYOUT, format=raw)
+
+
+def _generated(doc: dict) -> tuple[InterposerLayout, LayoutConfig]:
+    """The layout and config that a read layout.json's members give."""
+    cfg = LayoutConfig(**doc["config"])
+    layout = generate_layout(cfg, tuple(Annotation(**a) for a in doc["annotations"]))
+    check_cables(layout.annotations, layout.side_count)
+    return layout, cfg
 
 
 def _read_as_written(text: str) -> InterposerLayout | None:
@@ -345,10 +346,7 @@ def _read_as_written(text: str) -> InterposerLayout | None:
     if end < 0:
         return None
     try:
-        head = _HEAD(json.loads(text[:end] + "}"), "")
-        cfg = LayoutConfig(**head["config"])
-        layout = generate_layout(cfg, tuple(Annotation(**a) for a in head["annotations"]))
-        check_cables(layout.annotations, layout.side_count)
+        layout, cfg = _generated(_HEAD(json.loads(text[:end] + "}"), ""))
         if layout_to_json(layout, cfg) == text:  # a grid beyond the size check raises first
             return layout
     except (ValueError, ConfigInvalid):  # the full parse names the field
@@ -363,24 +361,14 @@ def _read_parsed(text: str) -> InterposerLayout:
     if fmt != LAYOUT_FORMAT:
         raise ConfigInvalid("format", f"expected layout format {LAYOUT_FORMAT}, got {fmt!r}")
     doc = _LAYOUT_JSON(doc, "")
-    if "solder_ball_diameter" not in doc["config"]:
-        raise ConfigInvalid("config.solder_ball_diameter", "missing required field")
     if doc["units"] != "m":
         raise ConfigInvalid("units", f"expected 'm', got {doc['units']!r}")
-    grid = doc["grid"]
-    layout = InterposerLayout(
-        grid["side_count"], grid["pitch"], grid["channel_width"], grid["channel_depth"],
-        tuple(Annotation(**a) for a in doc["annotations"]))
+    layout, _ = _generated(doc)
     n = layout.side_count
     for name in ("pads", "solder_balls"):  # lengths first: a large side_count builds nothing
         for axis, got in doc[name].items():
             if not isinstance(got, list) or len(got) != n * n:
                 raise ConfigInvalid(f"{name}.{axis}", f"expected a list of {n * n} numbers")
-    for leaf, key in _GRID_IN_CONFIG:
-        if doc["config"][leaf] != grid[key]:
-            raise ConfigInvalid(f"config.{leaf}", f"is {doc['config'][leaf]!r}, but "
-                                f"grid.{key} is {grid[key]!r}")
-    check_cables(layout.annotations, n)
     for name, sites in (("pads", layout.pad_centers), ("solder_balls", layout.solder_ball_sites)):
         for axis, want in _columns(sites).items():
             got = doc[name][axis]
@@ -392,22 +380,19 @@ def _read_parsed(text: str) -> InterposerLayout:
 
 
 def layout_from_json(text: str) -> InterposerLayout:
-    """Read a layout.json of format 2.
+    """Read a layout.json of format 3.
 
-    The writer's own text is checked by comparison: its `config` and
-    `annotations` are read, and a text equal to what `layout_to_json`
-    writes for them is accepted without parsing the site columns.  Any
-    other text is parsed in full and every field checked, with the same
-    errors either way.
+    Both ways of reading build the layout from `config` and `annotations`.
+    The writer's own text is checked by comparison: a text equal to what
+    `layout_to_json` writes for that layout is accepted without parsing the
+    site columns.  Any other text is parsed in full and every field
+    checked, with the same errors either way.
 
-    Raises ConfigInvalid naming the field when the format is not 2, a field
-    is missing or mistyped, a `config` field that the `grid` section repeats
-    differs from it, an annotation names a cable the grid does not have, or
-    a coordinate column differs from the grid that the `grid` section
+    Raises ConfigInvalid naming the field when the format is not 3, a field
+    is missing or mistyped, an annotation names a cable the grid does not
+    have, or a coordinate column differs from the grid that `config`
     defines.  `config` is read through `LAYOUT`, as a design config's
-    `layout` section is, except that every field is required: the writer
-    writes them all.  The writer writes `grid` and `config` from the same
-    floats, so they are compared exactly.
+    `layout` section is.
     """
     layout = _read_as_written(text)
     return layout if layout is not None else _read_parsed(text)

@@ -110,7 +110,7 @@ def unshared_cascade(chain, f) -> list:
 
 
 def columnar_layout_json(layout, cfg) -> str:
-    """layout.json format 2 as one compact, key-sorted `json.dumps` of the
+    """layout.json format 3 as one compact, key-sorted `json.dumps` of the
     whole document, every site coordinate a list entry of its own."""
     def fields(value):
         return {name: getattr(value, name) for name in value.__match_args__}
@@ -120,10 +120,8 @@ def columnar_layout_json(layout, cfg) -> str:
                 "y": [y for y in sites.ys for _ in sites.xs]}
 
     doc = {
-        "format": 2,
+        "format": 3,
         "units": "m",
-        "grid": {"side_count": layout.side_count, "pitch": layout.pitch,
-                 "channel_width": layout.channel_width, "channel_depth": layout.channel_depth},
         "pads": columns(layout.pad_centers),
         "solder_balls": columns(layout.solder_ball_sites),
         "annotations": [fields(a) for a in layout.annotations],

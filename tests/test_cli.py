@@ -89,7 +89,7 @@ class TestSubcommands:
         assert code == 0
         assert (out / "layout.svg").exists()
         layout = json.loads((out / "layout.json").read_text())
-        assert layout["format"] == 2
+        assert layout["format"] == 3 and "grid" not in layout
         assert len(layout["pads"]["x"]) == 400
         assert "holes" not in layout
         drc = json.loads((out / "drc.json").read_text())
@@ -267,7 +267,7 @@ class TestErrors:
         # The read returns other contents than the file holds: the report must
         # be that of the contents read, as must its config_sha256.
         doc = json.loads(config_file.read_text())
-        doc["qubit_array"]["qubit_pitch"] = "1mm"
+        doc["layout"]["qubit_pitch"] = "1mm"
         config_file.write_text(json.dumps(doc))
         built_in = resources.files("densewire").joinpath("data/default_config.json").read_bytes()
         read_bytes = Path.read_bytes

@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import csv
+import hashlib
 import io
 import json
 import random
@@ -65,11 +67,19 @@ def test_missing_field_names_field(raw, catalog):
     assert "layout.channel_width" in str(err.value)
 
 
-def test_bad_unit_names_field(raw, catalog):
-    raw["qubit_array"]["qubit_pitch"] = "500GHz"
+def test_solder_ball_diameter_is_required(raw, catalog):
+    # As in layout.json's `config`, which the writer writes whole.
+    del raw["layout"]["solder_ball_diameter"]
     with pytest.raises(ConfigInvalid) as err:
         parse_design_config(raw, catalog)
-    assert "qubit_array.qubit_pitch" in str(err.value)
+    assert str(err.value) == "layout.solder_ball_diameter: missing required field"
+
+
+def test_bad_unit_names_field(raw, catalog):
+    raw["layout"]["qubit_pitch"] = "500GHz"
+    with pytest.raises(ConfigInvalid) as err:
+        parse_design_config(raw, catalog)
+    assert "layout.qubit_pitch" in str(err.value)
 
 
 def test_unknown_stage_reference(raw, catalog):
@@ -233,6 +243,7 @@ _BUILDER_SWEEPS = [
     ("wiring.1.wire_pitch", "300um", "500um", 5, None),
     ("layout.hole_diameter", "200um", "300um", 5, None),  # the auto core and the coax
     ("layout.array_side_count", 2, 10, 5, None),
+    ("layout.qubit_pitch", "400um", "600um", 5, None),  # the qubit array's pitch
     ("interposer.pin_hole_clearance", "50um", "150um", 5, None),
     ("pin_stack.coatings.1.1", "5um", "15um", 5, None),
     ("cpw.gap", "3um", "12um", 4, None),
@@ -261,6 +272,7 @@ def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, s
         point = set_parameter(raw, decl.keys, v)
         got = parse_design_config(point, catalog, cfg)
         assert got == parse_design_config(point, catalog), v
+        assert got.qubit_array.qubit_pitch == got.layout.qubit_pitch, v
         assert {name for name in got.__match_args__
                 if getattr(got, name) is not getattr(cfg, name)} <= rebuilt, v
 
@@ -268,7 +280,8 @@ def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, s
 # The DesignConfig fields that the builders keyed by each section build.
 _BUILT_BY = {"qubit_array": {"qubit_array"}, "wiring": {"wiring"},
              **dict.fromkeys(("pin_stack", "interposer"), {"layout", "pin_stack", "coax"}),
-             "layout": {"layout", "pin_stack", "coax", "annotations"},  # a cable is a layout row
+             # the array's pitch is the layout's, and a cable is a layout row
+             "layout": {"qubit_array", "layout", "pin_stack", "coax", "annotations"},
              "stages": {"stages", "thermal"}, "thermal": {"thermal"}, "cpw": {"cpw"},
              "rf": {"rf"}, "annotations": {"annotations"}}
 
@@ -446,7 +459,7 @@ _BAD_INPUTS = [
     # tracebacks at extreme magnitudes: a qubit count beyond the float range,
     # also at a sweep point; a CPW whose conformal-mapping modulus k, or the
     # covered line's k3, rounds to 0 or 1
-    (("qubit_array", "qubit_pitch"), "1e-300um", "scale", "qubit_array"),
+    (("layout", "qubit_pitch"), "1e-300um", "scale", "qubit_array"),
     (("sweeps", 1, "start"), "1e300mm", "sweep", "sweeps[1]"),
     (("cpw", "gap"), "1e-300um", "impedance", "cpw"),
     (("cpw",), _COVERED_CPW | {"cover_height": "1e-12um"}, "impedance", "cpw"),
@@ -465,17 +478,21 @@ _BAD_INPUTS = [
     # a line that `layout` does not draw, and exited 0
     (("coax",), {"inner_diameter": "100um", "outer_diameter": "400um"}, "impedance", "coax"),
     (("interposer", "eps_r"), 9.0, "impedance", "interposer.eps_r"),
+    # a second qubit pitch, which the layout did not draw: one pin sits
+    # under every qubit, so the array's pitch is layout.qubit_pitch
+    (("qubit_array", "qubit_pitch"), "1e-300um", "scale", "qubit_array.qubit_pitch"),
 ]
 
 
 def _bad_input_id(path, value, command) -> str:
     """The whole path and value of a leaf, then the subcommand's options if
     it has any.  A replaced section or list (a dict or list value) is cut
-    at 40 characters."""
+    at 40 characters, and a cut one is followed by a digest of the whole,
+    so that the id changes whenever the case does."""
     options = command.partition(" ")[2]
     mutated = f"{'.'.join(map(str, path))}={value!r}"
-    if isinstance(value, (dict, list)):
-        mutated = mutated[:40]
+    if isinstance(value, (dict, list)) and len(mutated) > 40:
+        mutated = f"{mutated[:40]}~{hashlib.sha256(mutated.encode()).hexdigest()[:8]}"
     return mutated + (f" {options}" if options else "")
 
 
@@ -510,14 +527,37 @@ def test_pin_hole_clearance_must_be_positive(default_raw, tmp_path, clearance, c
 @pytest.mark.parametrize("path, value, field", [
     (("coax",), {"inner_diameter": "100um", "outer_diameter": "400um"}, "coax"),
     (("interposer", "eps_r"), 9.0, "interposer.eps_r"),
-], ids=["coax", "interposer.eps_r"])
+    (("qubit_array", "qubit_pitch"), "500um", "qubit_array.qubit_pitch"),
+], ids=["coax", "interposer.eps_r", "qubit_array.qubit_pitch"])
 def test_removed_input_exits_1_naming_it(default_raw, tmp_path, path, value, field, command):
     # The coax is the finished pin in its hole, filled with the catalog
     # permittivity of interposer.dielectric; no input states another line.
+    # One pin sits under every qubit: the array's pitch is layout.qubit_pitch.
     code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
     assert code == 1
     assert err.startswith(f"error: {field}: unknown field; "), err
     assert not (tmp_path / "out").exists()
+
+
+def test_pitch_wider_than_the_chip_names_both_fields(raw, tmp_path):
+    # A bare 0.5 is 0.5 m: no qubit, and no pin, fits on the 200 mm chip.
+    raw["layout"]["qubit_pitch"] = 0.5
+    code, err = _run_cli(raw, "scale", tmp_path)
+    assert (code, err) == (1, "error: qubit_array: chip_side must be >= qubit_pitch; "
+                              "check qubit_array.chip_side and layout.qubit_pitch\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_qubit_pitch_sweep_moves_the_qubit_count(raw, tmp_path):
+    # 200 mm chips of 400, 500 and 600 um cells: 500^2, 400^2 and floor(333.3^2) qubits.
+    raw["sweeps"] = [{"parameter": "layout.qubit_pitch", "start": "400um", "stop": "600um",
+                      "steps": 3}]
+    code, err = _run_cli(raw, "sweep", tmp_path)
+    assert code == 0, err
+    with open(tmp_path / "out/sweep_layout_qubit_pitch.csv", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    for key in ("lateral_n_qubits", "vertical_n_qubits"):
+        assert [r[key] for r in rows] == ["250000", "160000", "111111"], key
 
 
 # Each row: (mutated leaf, value, subcommand, the start of the exit-2 message).
@@ -545,7 +585,8 @@ def test_non_finite_result_exits_2_writing_nothing(default_raw, tmp_path, path, 
 def test_non_finite_report_value_exits_2(raw, tmp_path):
     # One qubit of pitch 1e200 m: the counts are finite, but the lateral
     # crossover length 4 * pitch^2 / wire_pitch is not.
-    raw["qubit_array"] = {"qubit_pitch": 1e200, "chip_side": 1e200}
+    raw["qubit_array"] = {"chip_side": 1e200}
+    raw["layout"]["qubit_pitch"] = 1e200
     raw["wiring"] = [{"access": "lateral", "wire_pitch": "56um"}]
     code, err = _run_cli(raw, "scale", tmp_path)
     assert code == 2
@@ -556,7 +597,8 @@ def test_non_finite_report_value_exits_2(raw, tmp_path):
 def test_wire_count_underflow_exits_2(raw, tmp_path):
     # 4 * 1e-300 m / 1e308 m edge wires underflow to 0, which then divided
     # the chip side.
-    raw["qubit_array"] = {"qubit_pitch": "1e-300m", "chip_side": "1e-300m"}
+    raw["qubit_array"] = {"chip_side": "1e-300m"}
+    raw["layout"]["qubit_pitch"] = "1e-300m"
     raw["wiring"] = [{"access": "lateral", "wire_pitch": "1e308m"}]
     for command in ("scale", "sweep"):
         code, err = _run_cli(raw, command, tmp_path)
@@ -585,8 +627,9 @@ def test_failing_sweep_point_names_its_sweep_and_writes_nothing(raw, tmp_path):
     # sweeps[0] alone runs clean; a point of sweeps[1] fails the qubit array.
     raw["sweeps"][1]["start"] = "1e300mm"
     code, err = _run_cli(raw, "sweep", tmp_path)
-    assert code == 1
-    assert err.startswith("error: sweeps[1]: at qubit_array.chip_side = 1e+297: qubit_array: "), err
+    assert (code, err) == (1, "error: sweeps[1]: at qubit_array.chip_side = 1e+297: qubit_array: "
+                              "qubit count (chip_side / qubit_pitch)^2 is not finite; check "
+                              "qubit_array.chip_side and layout.qubit_pitch\n")
     assert not (tmp_path / "out").exists()
 
 

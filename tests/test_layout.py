@@ -293,9 +293,8 @@ class TestExports:
         text = layout_to_json(generate_layout(NOMINAL), NOMINAL)
         assert "\n" not in text.rstrip("\n") and ", " not in text
         doc = json.loads(text)
-        assert doc["format"] == 2 and "holes" not in doc
-        assert doc["grid"] == {"side_count": 3, "pitch": 500e-6, "channel_width": 300e-6,
-                               "channel_depth": 1e-3}
+        assert doc["format"] == 3 and "holes" not in doc and "grid" not in doc
+        assert doc["config"] == {name: getattr(NOMINAL, name) for name in NOMINAL.__match_args__}
         assert doc["pads"]["x"] == [-500e-6, 0.0, 500e-6] * 3
         assert doc["pads"]["y"] == [-500e-6] * 3 + [0.0] * 3 + [500e-6] * 3
         assert doc["solder_balls"]["x"] == doc["pads"]["x"]
@@ -398,14 +397,6 @@ def _format_1(doc):
     doc["format"] = 1
 
 
-def _drop_grid(doc):
-    del doc["grid"]
-
-
-def _zero_pitch(doc):
-    doc["grid"]["pitch"] = 0
-
-
 def _short_column(doc):
     doc["pads"]["y"].pop()
 
@@ -423,7 +414,8 @@ def _drop_config(doc):
 
 
 def _huge_side(doc):
-    doc["grid"]["side_count"] = 10**9  # rejected on column length, before any site is built
+    # rejected on column length, before any site is built
+    doc["config"]["array_side_count"] = 10**9
 
 
 class TestReader:
@@ -431,8 +423,6 @@ class TestReader:
         (_move_pad, "pads.x"),
         (_move_ball, "solder_balls.y"),
         (_format_1, "format"),
-        (_drop_grid, "grid"),
-        (_zero_pitch, "grid.pitch"),
         (_short_column, "pads.y"),
         (_metres_as_mm, "units"),
         (_huge_side, "pads.x"),
@@ -449,20 +439,25 @@ class TestReader:
     @pytest.mark.parametrize("leaf", LayoutConfig.__match_args__)
     def test_config_is_read_like_the_design_config_layout(self, leaf):
         # Of the bad values, a positive number is a length, and 1 a side count.
-        # A field that `grid` repeats must also equal it, which none of them do.
+        # A field that sets the grid must also give the written columns, which
+        # none of them do: the pitch and side count set the pads, the channel
+        # width the solder balls.  No column holds the channel depth.
         layout = generate_layout(NOMINAL)
         doc = json.loads(layout_to_json(layout, NOMINAL))
         good = (1,) if leaf == "array_side_count" else (1, 0.5, 2.5)
-        if leaf in ("qubit_pitch", "array_side_count", "channel_width", "channel_depth"):
-            good = ()
+        column = {"qubit_pitch": "pads.x", "array_side_count": "pads.x",
+                  "channel_width": "solder_balls.y"}.get(leaf)
         for value in _BAD_VALUES:
             text = json.dumps(doc | {"config": doc["config"] | {leaf: value}})
+            want = f"config.{leaf}"
             if not isinstance(value, bool) and value in good:
-                assert layout_from_json(text) == layout
-                continue
+                if column is None:
+                    assert layout_from_json(text) == generate_layout(mutate(**{leaf: value}))
+                    continue
+                want = column
             with pytest.raises(ConfigInvalid) as exc:
                 layout_from_json(text)
-            assert exc.value.field == f"config.{leaf}", value
+            assert exc.value.field == want, value
         config = {k: v for k, v in doc["config"].items() if k != leaf}
         for damaged, field in ((config, f"config.{leaf}"),
                                (doc["config"] | {leaf + "_x": 1.0}, f"config.{leaf}_x")):
@@ -470,28 +465,21 @@ class TestReader:
                 layout_from_json(json.dumps(doc | {"config": damaged}))
             assert exc.value.field == field
 
-    @pytest.mark.parametrize("leaf, key, value", [
-        ("qubit_pitch", "pitch", 1e-3), ("array_side_count", "side_count", 7),
-        ("channel_width", "channel_width", 301e-6), ("channel_depth", "channel_depth", 2e-3)])
-    def test_config_that_differs_from_the_grid(self, leaf, key, value):
-        doc = json.loads(layout_to_json(generate_layout(NOMINAL), NOMINAL))
-        with pytest.raises(ConfigInvalid) as exc:
-            layout_from_json(json.dumps(doc | {"config": doc["config"] | {leaf: value}}))
-        assert exc.value.field == f"config.{leaf}"
-        assert exc.value.message == f"is {value!r}, but grid.{key} is {doc['grid'][key]!r}"
-
-    def test_config_of_another_grid_is_rejected(self, catalog):
-        # The built-in layout.json with a config of pitch 1 mm, side 7 and
-        # depth 2 mm: the first field that differs from the grid is named.
-        raw = json.loads(resources.files("densewire").joinpath("data/default_config.json")
-                         .read_text("utf-8"))
-        cfg = parse_design_config(raw, catalog).layout
-        doc = json.loads(layout_to_json(generate_layout(cfg), cfg))
-        other = doc["config"] | {"qubit_pitch": 1e-3, "array_side_count": 7,
-                                 "channel_depth": 2e-3}
-        with pytest.raises(ConfigInvalid) as exc:
-            layout_from_json(json.dumps(doc | {"config": other}))
-        assert exc.value.field == "config.qubit_pitch"
+    def test_format_2_is_rejected(self):
+        # The 1x1 layout.json of the earlier format, which wrote a `grid`
+        # section beside `config`.
+        config = ('"config":{"array_side_count":1,"channel_depth":0.001,"channel_width":0.0003,'
+                  '"ground_curb_width":5e-05,"hole_diameter":0.0003,"pad_diameter":0.0002,'
+                  '"pad_thickness":1e-05,"pin_length":0.02,"qubit_pitch":0.0005,'
+                  '"solder_ball_diameter":5e-05,"tip_tolerance":2.5e-06}')
+        text = ('{"annotations":[],' + config + ',"format":2,"grid":{"channel_depth":0.001,'
+                '"channel_width":0.0003,"pitch":0.0005,"side_count":1},"pads":{"x":[0.0],'
+                '"y":[0.0]},"solder_balls":{"x":[0.0],"y":[0.00015]},"units":"m"}\n')
+        for read in (text, json.dumps(json.loads(text), indent=1)):  # as written, and re-indented
+            with pytest.raises(ConfigInvalid) as exc:
+                layout_from_json(read)
+            assert (exc.value.field, exc.value.message) == ("format",
+                                                            "expected layout format 3, got 2")
 
     @pytest.mark.parametrize("config, field", [(5, "config"), ([], "config"),
                                                ({}, "config.qubit_pitch")])
@@ -532,15 +520,15 @@ class TestReadAsWritten:
 
     @pytest.mark.parametrize("damage, want", [
         (_first_pad_one_ulp_right, "pads.x"),
-        (_replace('"format":2,', '"format":2.0,'), None),
+        (_replace('"format":3,', '"format":2.0,'), "format"),
+        (_replace('"format":3,', '"format":3.0,'), None),
         (_replace('"pin_length":0.02,', '"pin_length":1,'), None),
         (lambda text: text + "\n", None),
         (_replace('"pad_thickness":1e-05,', '"pad_thickness":true,'), "config.pad_thickness"),
         (lambda text: text, None),  # an annotation kind that holds the columns' key
         (_replace(',"solder_balls":', ',"pads":{"x":[0],"y":[0]},"solder_balls":'), "pads.x"),
-        (_replace('"pitch":0.0005,', '"pitch":0.0006,'), "config.qubit_pitch"),
-    ], ids=["pad-1-ulp", "format-2.0", "integer-length", "trailing-newline", "true-length",
-            "kind-holds-pads", "second-pads", "grid-pitch"])
+    ], ids=["pad-1-ulp", "format-2.0", "format-3.0", "integer-length", "trailing-newline",
+            "true-length", "kind-holds-pads", "second-pads"])
     def test_damaged_text_reads_as_the_full_parse(self, damage, want):
         layout = generate_layout(NOMINAL, (Annotation("cable-002", _KIND_WITH_PADS, 0.05),))
         text = damage(layout_to_json(layout, NOMINAL))
