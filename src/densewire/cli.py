@@ -257,7 +257,7 @@ def _cmd_rf(run: _Run, args) -> int:
 
 def _cmd_layout(run: _Run, args) -> int:
     config = run.config
-    layout = generate_layout(config.layout, config.annotations)
+    layout = generate_layout(config.layout)
     check_export_size(layout)
     drc = run_drc(layout, config.layout, config.pin_stack)
     n = len(layout.hole_centers)

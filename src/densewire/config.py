@@ -9,7 +9,7 @@ reads and builds only what those shared sections do not settle.
 Dimensional fields carry explicit unit suffixes ("500um", "10GHz"); bare
 numbers are read as base SI units.
 Keys named "notes" or starting with an underscore are ignored everywhere,
-so configs can be annotated.  Every type, unit, range or reference error
+so configs can carry comments.  Every type, unit, range or reference error
 raises ConfigInvalid naming the dotted field path.
 
 Derivations tie the sections together the way the hardware does:
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import units
 from .errors import ConfigInvalid
-from .layout import ANNOTATION, LAYOUT, Annotation, LayoutConfig, check_cables
+from .layout import LAYOUT, LayoutConfig
 from .materials import MaterialCatalog, default_catalog
 from .scaling import BondWireGeometry, QubitArraySpec, WiringArchitecture, wire_pitch_from_bonds
 from .tlines import CoaxSpec, CpwSpec, PinStack, pin_outer_diameter
@@ -100,7 +100,6 @@ class DesignConfig:
     stages: StageModel
     thermal: ThermalArchitecture
     sweeps: tuple[SweepDecl, ...]
-    annotations: tuple[Annotation, ...]
     raw: dict  # the parsed JSON document this config came from
 
 
@@ -149,7 +148,6 @@ _SCHEMA = section(
     # Sweep end-points are read with the swept field's kind in _sweeps.
     sweeps=optional(listof(section(
         parameter=string, start=raw, stop=raw, steps=integer(1)), unique="parameter")),
-    annotations=optional(listof(ANNOTATION)),
 )
 
 
@@ -269,13 +267,6 @@ def _thermal(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
     return {"thermal": ThermalArchitecture(controllers=tuple(controllers), paths=tuple(paths))}
 
 
-def _annotations(doc: dict, cat: MaterialCatalog, built: dict) -> dict:
-    """The annotations, each on a cable of the `built` layout."""
-    annotations = tuple(Annotation(**a) for a in doc.get("annotations", ()))
-    check_cables(annotations, built["layout"].array_side_count)
-    return {"annotations": annotations}
-
-
 # Every builder, keyed by the top-level sections it reads or whose fields
 # it takes from `built`, in the order a parse runs them: the order in
 # which their errors are found.
@@ -287,7 +278,6 @@ _BUILDERS = (
     (("cpw",), _cpw),
     (("rf",), _rf),
     (("stages", "thermal"), _thermal),
-    (("annotations", "layout"), _annotations),
 )
 _ABSENT = object()
 

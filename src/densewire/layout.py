@@ -20,8 +20,7 @@ from functools import cached_property
 
 from .errors import ConfigInvalid, UnsupportedFormat
 from .tlines import PinStack, pin_outer_diameter
-from .units import (
-    bounded, frozen, integer, listof, parse_length, positive_length, raw, section, string)
+from .units import frozen, integer, positive_length, raw, section, string
 
 ERROR = "error"
 WARNING = "warning"
@@ -34,7 +33,7 @@ TIP_TOLERANCE_MAX = 2.5e-6
 MIN_CHANNEL_ASPECT = 0.14          # width/depth demonstrated machinable
 BOND_PRESSURE_RANGE = (10.0, 20.0)  # N/mm^2, chip-compression bonding
 
-LAYOUT_FORMAT = 3  # the `format` key of layout.json
+LAYOUT_FORMAT = 4  # the `format` key of layout.json
 
 # Most sites a layout file is written for: 1000 x 1000, the densest grid a
 # 200 mm chip holds at the 200 um minimum hole of the process envelope.
@@ -67,18 +66,8 @@ class LayoutConfig:
                 raise ConfigInvalid(f"layout.{name}", "must be > 0")
 
 
-@frozen
-class Annotation:
-    """Attenuator/filter marker on one ribbon cable; positional metadata only."""
-
-    cable: str
-    kind: str
-    position: float  # distance along the cable from the pin row, meters
-
-
-# An annotation and the layout section as the design config and layout.json
-# both give them; layout.json calls the layout section `config`.
-ANNOTATION = section(cable=string, kind=string, position=bounded(parse_length, 0.0))
+# The layout section as the design config and layout.json both give it;
+# layout.json calls it `config`.
 LAYOUT = section(
     qubit_pitch=positive_length, array_side_count=integer(1),
     pad_diameter=positive_length, hole_diameter=positive_length,
@@ -120,7 +109,6 @@ class InterposerLayout:
     pitch: float
     channel_width: float
     channel_depth: float
-    annotations: tuple[Annotation, ...] = ()
 
     @cached_property
     def offsets(self) -> tuple[float, ...]:
@@ -141,11 +129,11 @@ class InterposerLayout:
         return SiteGrid(self.offsets, tuple(y + self.channel_width / 2.0 for y in self.offsets))
 
 
-def generate_layout(cfg: LayoutConfig, annotations: tuple[Annotation, ...] = ()) -> InterposerLayout:
+def generate_layout(cfg: LayoutConfig) -> InterposerLayout:
     """Square n x n pad/hole grid at the qubit pitch, one channel and one
     ribbon cable per row, solder-ball sites along each channel wall."""
     return InterposerLayout(cfg.array_side_count, cfg.qubit_pitch, cfg.channel_width,
-                            cfg.channel_depth, tuple(annotations))
+                            cfg.channel_depth)
 
 
 @frozen
@@ -247,11 +235,6 @@ def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
-def _fields(value) -> dict:
-    """A frozen value's fields by name, in order."""
-    return {name: getattr(value, name) for name in value.__match_args__}
-
-
 def _column_parts(sites: SiteGrid):
     """`_dumps(_columns(sites))` as parts of about one row each, with each
     axis value formatted once: the x column repeats the row's text, the y
@@ -289,8 +272,7 @@ def layout_to_json(layout: InterposerLayout, cfg: LayoutConfig) -> str:
     doc = {
         "format": LAYOUT_FORMAT,
         "units": "m",
-        "annotations": [_fields(a) for a in layout.annotations],
-        "config": _fields(cfg),
+        "config": {name: getattr(cfg, name) for name in cfg.__match_args__},
     }
     members = {key: [_dumps(value)] for key, value in doc.items()}
     members["pads"] = _column_parts(layout.pad_centers)
@@ -306,42 +288,24 @@ _SITE_COLUMNS = section(x=raw, y=raw)  # checked against the grid
 _LAYOUT_JSON = section(
     format=integer(LAYOUT_FORMAT), units=string,
     pads=_SITE_COLUMNS, solder_balls=_SITE_COLUMNS,
-    annotations=listof(ANNOTATION),
     config=LAYOUT)
 
-
-def check_cables(annotations: Sequence[Annotation], side_count: int) -> None:
-    """Reject an annotation on a cable that an n x n layout does not have:
-    row i's cable is `cable-<i:03d>`, from cable-000 to cable-<n-1>."""
-    n = side_count
-    for i, a in enumerate(annotations):
-        try:
-            row = int(a.cable.removeprefix("cable-"))
-        except ValueError:  # no row number, or more digits than int() reads
-            row = -1
-        if not (0 <= row < n and a.cable == f"cable-{row:03d}"):
-            raise ConfigInvalid(f"annotations[{i}].cable", f"{a.cable!r} is not a cable of the "
-                                f"{n}x{n} layout, whose cables are cable-000 to cable-{n - 1:03d}")
-
-
 # The members `layout_to_json` writes before the site columns.
-_HEAD = section(annotations=listof(ANNOTATION), config=LAYOUT, format=raw)
+_HEAD = section(config=LAYOUT, format=raw)
 
 
 def _generated(doc: dict) -> tuple[InterposerLayout, LayoutConfig]:
     """The layout and config that a read layout.json's members give."""
     cfg = LayoutConfig(**doc["config"])
-    layout = generate_layout(cfg, tuple(Annotation(**a) for a in doc["annotations"]))
-    check_cables(layout.annotations, layout.side_count)
-    return layout, cfg
+    return generate_layout(cfg), cfg
 
 
 def _read_as_written(text: str) -> InterposerLayout | None:
     """The layout if `text` is the text `layout_to_json` writes for it, else None.
 
     Only the members before `pads` are parsed.  The layout and its config
-    are built from `config` and `annotations`, and the writer's text of them
-    is compared with `text`, so the site columns are never parsed."""
+    are built from `config`, and the writer's text of them is compared with
+    `text`, so the site columns are never parsed."""
     end = text.find(',"pads":')
     if end < 0:
         return None
@@ -380,19 +344,18 @@ def _read_parsed(text: str) -> InterposerLayout:
 
 
 def layout_from_json(text: str) -> InterposerLayout:
-    """Read a layout.json of format 3.
+    """Read a layout.json of format 4.
 
-    Both ways of reading build the layout from `config` and `annotations`.
+    Both ways of reading build the layout from `config`.
     The writer's own text is checked by comparison: a text equal to what
     `layout_to_json` writes for that layout is accepted without parsing the
     site columns.  Any other text is parsed in full and every field
     checked, with the same errors either way.
 
-    Raises ConfigInvalid naming the field when the format is not 3, a field
-    is missing or mistyped, an annotation names a cable the grid does not
-    have, or a coordinate column differs from the grid that `config`
-    defines.  `config` is read through `LAYOUT`, as a design config's
-    `layout` section is.
+    Raises ConfigInvalid naming the field when the format is not 4, a field
+    is missing or mistyped, or a coordinate column differs from the grid
+    that `config` defines.  `config` is read through `LAYOUT`, as a design
+    config's `layout` section is.
     """
     layout = _read_as_written(text)
     return layout if layout is not None else _read_parsed(text)

@@ -146,17 +146,12 @@ def integer(minimum: int):
     return read
 
 
-def bounded(kind, low: float, strict: bool = False):
-    """Kind for a `kind` value >= `low`, or > `low` when `strict`."""
-    def read(value, where: str):
-        x = kind(value, where)
-        if x < low or (strict and x == low):
-            raise ConfigInvalid(where, f"must be {'>' if strict else '>='} {low:g}, got {value!r}")
-        return x
-    return read
-
-
-positive_length = bounded(parse_length, 0.0, strict=True)
+def positive_length(value, where: str) -> float:
+    """Kind for a length > 0."""
+    x = parse_length(value, where)
+    if x <= 0:
+        raise ConfigInvalid(where, f"must be > 0, got {value!r}")
+    return x
 
 
 def raw(value, where: str):
@@ -224,7 +219,7 @@ def section(**fields):
     """Kind for a JSON object with the given fields, read into a dict.
 
     Each field is a kind (required) or ``optional(kind, default)``.  Keys
-    named "notes" or starting with "_" are annotations and ignored; any
+    named "notes" or starting with "_" are comments and ignored; any
     other unknown key is rejected.  With `names`, the reader reads only
     those fields (it still rejects unknown keys).
     """

@@ -110,22 +110,18 @@ def unshared_cascade(chain, f) -> list:
 
 
 def columnar_layout_json(layout, cfg) -> str:
-    """layout.json format 3 as one compact, key-sorted `json.dumps` of the
+    """layout.json format 4 as one compact, key-sorted `json.dumps` of the
     whole document, every site coordinate a list entry of its own."""
-    def fields(value):
-        return {name: getattr(value, name) for name in value.__match_args__}
-
     def columns(sites):
         return {"x": [x for _ in sites.ys for x in sites.xs],
                 "y": [y for y in sites.ys for _ in sites.xs]}
 
     doc = {
-        "format": 3,
+        "format": 4,
         "units": "m",
         "pads": columns(layout.pad_centers),
         "solder_balls": columns(layout.solder_ball_sites),
-        "annotations": [fields(a) for a in layout.annotations],
-        "config": fields(cfg),
+        "config": {name: getattr(cfg, name) for name in cfg.__match_args__},
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 

@@ -251,7 +251,6 @@ _BUILDER_SWEEPS = [
     ("stages.0.cooling_power", "100W", "2kW", 5, _with_stages),
     ("thermal.paths.0.count", 100000, 200000, 5, None),
     ("thermal.controllers.0.count", 1000, 5000, 5, None),
-    ("annotations.0.position", "10mm", "90mm", 5, None),
 ]
 
 
@@ -280,10 +279,10 @@ def test_sweep_point_equals_a_parse_of_its_raw_config(raw, catalog, parameter, s
 # The DesignConfig fields that the builders keyed by each section build.
 _BUILT_BY = {"qubit_array": {"qubit_array"}, "wiring": {"wiring"},
              **dict.fromkeys(("pin_stack", "interposer"), {"layout", "pin_stack", "coax"}),
-             # the array's pitch is the layout's, and a cable is a layout row
-             "layout": {"qubit_array", "layout", "pin_stack", "coax", "annotations"},
+             # the array's pitch is the layout's
+             "layout": {"qubit_array", "layout", "pin_stack", "coax"},
              "stages": {"stages", "thermal"}, "thermal": {"thermal"}, "cpw": {"cpw"},
-             "rf": {"rf"}, "annotations": {"annotations"}}
+             "rf": {"rf"}}
 
 
 def test_every_section_has_a_builder(raw):
@@ -451,10 +450,8 @@ _BAD_INPUTS = [
     (("layout", "array_side_count"), 10**6, "layout", "layout.array_side_count"),
     # the SVG rows of that grid grew until the machine ran out of memory
     (("layout", "array_side_count"), 10**6, "layout --format svg", "layout.array_side_count"),
-    # one step from 200 um to 300 um swept 200 um only; negative lengths
-    # passed, the position into layout.json
+    # one step from 200 um to 300 um swept 200 um only; negative lengths passed
     (("sweeps", 0, "steps"), 1, "sweep", "sweeps[0].steps"),
-    (("annotations", 0, "position"), "-50mm", "layout", "annotations[0].position"),
     (("cpw", "cover_height"), "-5um", "impedance", "cpw.cover_height"),
     # tracebacks at extreme magnitudes: a qubit count beyond the float range,
     # also at a sweep point; a CPW whose conformal-mapping modulus k, or the
@@ -528,11 +525,14 @@ def test_pin_hole_clearance_must_be_positive(default_raw, tmp_path, clearance, c
     (("coax",), {"inner_diameter": "100um", "outer_diameter": "400um"}, "coax"),
     (("interposer", "eps_r"), 9.0, "interposer.eps_r"),
     (("qubit_array", "qubit_pitch"), "500um", "qubit_array.qubit_pitch"),
-], ids=["coax", "interposer.eps_r", "qubit_array.qubit_pitch"])
+    (("annotations",), [{"cable": "cable-000", "kind": "ir-filter", "position": "120mm"}],
+     "annotations"),
+], ids=["coax", "interposer.eps_r", "qubit_array.qubit_pitch", "annotations"])
 def test_removed_input_exits_1_naming_it(default_raw, tmp_path, path, value, field, command):
     # The coax is the finished pin in its hole, filled with the catalog
     # permittivity of interposer.dielectric; no input states another line.
     # One pin sits under every qubit: the array's pitch is layout.qubit_pitch.
+    # No analysis read the cable markers of `annotations`.
     code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
     assert code == 1
     assert err.startswith(f"error: {field}: unknown field; "), err

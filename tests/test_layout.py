@@ -13,9 +13,7 @@ from densewire.config import parse_design_config
 from densewire.errors import ConfigInvalid, UnsupportedFormat
 from densewire.layout import (
     MAX_EXPORT_SITES,
-    Annotation,
     LayoutConfig,
-    check_cables,
     check_export_size,
     export_layout,
     generate_layout,
@@ -245,8 +243,7 @@ class TestDrc:
 
 class TestExports:
     def test_json_round_trip_exact(self):
-        layout = generate_layout(NOMINAL, annotations=(
-            Annotation("cable-001", "attenuator-20dB", 0.05),))
+        layout = generate_layout(NOMINAL)
         back = layout_from_json(layout_to_json(layout, NOMINAL))
         assert back == layout
 
@@ -293,21 +290,17 @@ class TestExports:
         text = layout_to_json(generate_layout(NOMINAL), NOMINAL)
         assert "\n" not in text.rstrip("\n") and ", " not in text
         doc = json.loads(text)
-        assert doc["format"] == 3 and "holes" not in doc and "grid" not in doc
+        assert doc["format"] == 4
+        assert sorted(doc) == ["config", "format", "pads", "solder_balls", "units"]
         assert doc["config"] == {name: getattr(NOMINAL, name) for name in NOMINAL.__match_args__}
         assert doc["pads"]["x"] == [-500e-6, 0.0, 500e-6] * 3
         assert doc["pads"]["y"] == [-500e-6] * 3 + [0.0] * 3 + [500e-6] * 3
         assert doc["solder_balls"]["x"] == doc["pads"]["x"]
 
     @pytest.mark.parametrize("side", [1, 2, 3, 20, 401])
-    @pytest.mark.parametrize("annotated", [True, False])
-    def test_json_equals_one_dumps_of_the_document(self, side, annotated):
+    def test_json_equals_one_dumps_of_the_document(self, side):
         cfg = mutate(array_side_count=side)
-        annotations = (
-            Annotation("pads", '{"x":[', 0.05),
-            Annotation("cable-\u0000", "Dämpfer −20 dB µ", -1.5e-3),
-            Annotation('"solder_balls":{"y":[0]}', "\\u0000 \\ \n", 0.0))
-        layout = generate_layout(cfg, annotations=annotations if annotated else ())
+        layout = generate_layout(cfg)
         assert layout_to_json(layout, cfg) == columnar_layout_json(layout, cfg)
 
     @pytest.mark.parametrize("side", [1, 2, 3, 20, 401])
@@ -405,10 +398,6 @@ def _metres_as_mm(doc):
     doc["units"] = "mm"
 
 
-def _negative_position(doc):
-    doc["annotations"] = [{"cable": "cable-000", "kind": "ir-filter", "position": -0.05}]
-
-
 def _drop_config(doc):
     del doc["config"]
 
@@ -426,7 +415,6 @@ class TestReader:
         (_short_column, "pads.y"),
         (_metres_as_mm, "units"),
         (_huge_side, "pads.x"),
-        (_negative_position, "annotations[0].position"),
         (_drop_config, "config"),
     ])
     def test_rejects_naming_the_field(self, damage, field):
@@ -465,21 +453,24 @@ class TestReader:
                 layout_from_json(json.dumps(doc | {"config": damaged}))
             assert exc.value.field == field
 
-    def test_format_2_is_rejected(self):
-        # The 1x1 layout.json of the earlier format, which wrote a `grid`
-        # section beside `config`.
+    @pytest.mark.parametrize("fmt, grid", [
+        (2, ',"grid":{"channel_depth":0.001,"channel_width":0.0003,"pitch":0.0005,"side_count":1}'),
+        (3, ""),
+    ], ids=["2", "3"])
+    def test_earlier_format_is_rejected(self, fmt, grid):
+        # The 1x1 layout.json of each earlier format.  Both wrote `annotations`,
+        # and format 2 also a `grid` section beside `config`.
         config = ('"config":{"array_side_count":1,"channel_depth":0.001,"channel_width":0.0003,'
                   '"ground_curb_width":5e-05,"hole_diameter":0.0003,"pad_diameter":0.0002,'
                   '"pad_thickness":1e-05,"pin_length":0.02,"qubit_pitch":0.0005,'
                   '"solder_ball_diameter":5e-05,"tip_tolerance":2.5e-06}')
-        text = ('{"annotations":[],' + config + ',"format":2,"grid":{"channel_depth":0.001,'
-                '"channel_width":0.0003,"pitch":0.0005,"side_count":1},"pads":{"x":[0.0],'
+        text = ('{"annotations":[],' + config + f',"format":{fmt}' + grid + ',"pads":{"x":[0.0],'
                 '"y":[0.0]},"solder_balls":{"x":[0.0],"y":[0.00015]},"units":"m"}\n')
         for read in (text, json.dumps(json.loads(text), indent=1)):  # as written, and re-indented
             with pytest.raises(ConfigInvalid) as exc:
                 layout_from_json(read)
-            assert (exc.value.field, exc.value.message) == ("format",
-                                                            "expected layout format 3, got 2")
+            assert (exc.value.field, exc.value.message) == (
+                "format", f"expected layout format 4, got {fmt}")
 
     @pytest.mark.parametrize("config, field", [(5, "config"), ([], "config"),
                                                ({}, "config.qubit_pitch")])
@@ -511,26 +502,22 @@ def _first_pad_one_ulp_right(text):
     return text[:start] + repr(math.nextafter(float(text[start:end]), math.inf)) + text[end:]
 
 
-_KIND_WITH_PADS = ',"pads":{"x":['
-
-
 class TestReadAsWritten:
     """The writer's own text is read without parsing its columns, with the
     layout or the error that a full parse gives."""
 
     @pytest.mark.parametrize("damage, want", [
         (_first_pad_one_ulp_right, "pads.x"),
-        (_replace('"format":3,', '"format":2.0,'), "format"),
-        (_replace('"format":3,', '"format":3.0,'), None),
+        (_replace('"format":4,', '"format":2.0,'), "format"),
+        (_replace('"format":4,', '"format":4.0,'), None),
         (_replace('"pin_length":0.02,', '"pin_length":1,'), None),
         (lambda text: text + "\n", None),
         (_replace('"pad_thickness":1e-05,', '"pad_thickness":true,'), "config.pad_thickness"),
-        (lambda text: text, None),  # an annotation kind that holds the columns' key
         (_replace(',"solder_balls":', ',"pads":{"x":[0],"y":[0]},"solder_balls":'), "pads.x"),
-    ], ids=["pad-1-ulp", "format-2.0", "format-3.0", "integer-length", "trailing-newline",
-            "true-length", "kind-holds-pads", "second-pads"])
+    ], ids=["pad-1-ulp", "format-2.0", "format-4.0", "integer-length", "trailing-newline",
+            "true-length", "second-pads"])
     def test_damaged_text_reads_as_the_full_parse(self, damage, want):
-        layout = generate_layout(NOMINAL, (Annotation("cable-002", _KIND_WITH_PADS, 0.05),))
+        layout = generate_layout(NOMINAL)
         text = damage(layout_to_json(layout, NOMINAL))
         got = _outcome(layout_from_json, text)
         assert got == _outcome(layout_module._read_parsed, text)
@@ -541,29 +528,10 @@ class TestReadAsWritten:
 
     def test_writer_text_parses_only_the_head(self, monkeypatch):
         cfg = mutate(array_side_count=400)
-        layout = generate_layout(cfg, (Annotation("cable-399", _KIND_WITH_PADS, 0.12),))
+        layout = generate_layout(cfg)
         text = layout_to_json(layout, cfg)
         parsed = []
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(len(s)) or loads(s, **kw))
         assert layout_from_json(text) == layout
         assert parsed and max(parsed) <= text.index(',"pads":') + 1  # the head and its "}"
-
-    @pytest.mark.parametrize("cable", [
-        "cable-003", "cable-999", "banana", "cable-01", "cable-0002", "cable--01", "cable-",
-        "cable-" + "9" * 5000])
-    def test_annotation_on_no_cable_of_the_grid(self, cable):
-        layout = generate_layout(NOMINAL, (Annotation("cable-002", "ir-filter", 0.0),
-                                           Annotation(cable, "ir-filter", 0.05)))
-        text = layout_to_json(layout, NOMINAL)
-        for read in (text, json.dumps(json.loads(text))):  # as written, and parsed in full
-            with pytest.raises(ConfigInvalid) as exc:
-                layout_from_json(read)
-            assert exc.value.field == "annotations[1].cable"
-            assert exc.value.message == (f"{cable!r} is not a cable of the 3x3 layout, "
-                                         "whose cables are cable-000 to cable-002")
-
-    def test_cables_past_999_have_four_digits(self):
-        check_cables((Annotation("cable-1000", "ir-filter", 0.0),), 1001)
-        with pytest.raises(ConfigInvalid):
-            check_cables((Annotation("cable-1000", "ir-filter", 0.0),), 1000)
