@@ -532,7 +532,7 @@ def test_removed_input_exits_1_naming_it(default_raw, tmp_path, path, value, fie
     # The coax is the finished pin in its hole, filled with the catalog
     # permittivity of interposer.dielectric; no input states another line.
     # One pin sits under every qubit: the array's pitch is layout.qubit_pitch.
-    # No analysis read the cable markers of `annotations`.
+    # No analysis reads cable markers, so `annotations` is no input.
     code, err = _run_cli(_mutated(default_raw, path, value), command, tmp_path)
     assert code == 1
     assert err.startswith(f"error: {field}: unknown field; "), err
